@@ -1,7 +1,7 @@
 """Liquid state-space kernels: LegS/DPLR initialization, frequency-domain
 kernel generation, input-correlation kernels, oracles, and a training demo."""
 
-from .conv import SequenceBatch, causal_conv_direct, causal_conv_fft, recurrent_s4
+from .conv import SequenceBatch, causal_conv, causal_conv_direct, causal_conv_fft, recurrent_s4
 from .kernel import (
     Kernel,
     bench_kernel,
@@ -64,6 +64,7 @@ __all__ = [
     "apply_liquid",
     "bench_kernel",
     "build_liquid_kernels",
+    "causal_conv",
     "causal_conv_direct",
     "causal_conv_fft",
     "cauchy_dot",

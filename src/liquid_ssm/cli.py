@@ -17,9 +17,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import errors, seqio
-from .conv import causal_conv_fft
-from .kernel import bench_kernel, kernel_genfn, kernel_naive
-from .liquid import apply_liquid, build_liquid_kernels, default_window
+from .kernel import _rel_linf, bench_kernel, kernel_genfn, kernel_naive
+from .liquid import build_liquid_kernels, default_window
 from .model import (
     LayerConfig,
     ModelStack,
@@ -27,7 +26,7 @@ from .model import (
     SyntheticTask,
     train_demo,
 )
-from .pipeline import feature_systems
+from .pipeline import feature_systems, forward_liquid_s4
 from .ssm import discretize_bilinear, hippo_legs, init_dt_schedule, nplr_decompose
 from .verify import run_suite
 
@@ -171,8 +170,7 @@ def cmd_kernel(args) -> int:
         t0 = time.perf_counter()
         naive = kernel_naive(discretize_bilinear(sys_, dt), cfg.length)
         naive_ms = 1e3 * (time.perf_counter() - t0)
-        scale = max(float(np.max(np.abs(naive.taps))), 1e-300)
-        rel = float(np.max(np.abs(fast.taps - naive.taps))) / scale
+        rel = _rel_linf(fast.taps, naive.taps)
         doc["verify"] = {
             "rel_linf": rel,
             "tolerance": KERNEL_AGREEMENT_TOL,
@@ -188,22 +186,21 @@ def cmd_kernel(args) -> int:
 
 def cmd_convolve(args) -> int:
     cfg = load_config(args)
+    if not args.out:
+        raise errors.ConfigError("convolve requires --out PATH for the sequence output")
     values = seqio.read_sequences(args.input)
-    batch, length, h = values.shape
+    _, length, h = values.shape
+    try:
+        seqio.check_writable(args.out, h)
+    except errors.DimensionError as exc:
+        raise errors.ConfigError(f"--out {args.out}: {exc}") from exc
     cfg = replace(cfg, length=length, features=h)
     cfg.validate()
     window = min(cfg.resolved_window(), length)
     bank = feature_systems(cfg.state, h, cfg.seed, seq_length=length)
     out = np.empty_like(values)
     for i, (sys_, dt) in enumerate(bank):
-        taps = kernel_genfn(sys_, dt, length).taps
-        out[:, :, i] = causal_conv_fft(taps, values[:, :, i])
-        if cfg.mode != "none":
-            kset = build_liquid_kernels(sys_, dt, cfg.mode, cfg.order, window)
-            for bi in range(batch):
-                out[bi, :, i] += apply_liquid(kset, values[bi, :, i])
-    if not args.out:
-        raise errors.ConfigError("convolve requires --out PATH for the sequence output")
+        out[:, :, i] = forward_liquid_s4(sys_, dt, values[:, :, i], cfg.mode, cfg.order, window)
     seqio.write_sequences(args.out, out)
     return 0
 

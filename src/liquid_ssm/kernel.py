@@ -51,6 +51,11 @@ def unit_roots(l: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(l) / l)
 
 
+def _rel_linf(got: np.ndarray, want: np.ndarray) -> float:
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    return float(np.max(np.abs(got - want))) / scale
+
+
 def _impulse_response(d: DiscreteSystem, l: int) -> np.ndarray:
     """Complex taps <c_bar, a_bar^i b_bar> for i = 0..l-1 by repeated matvec."""
     x = d.b_bar.copy()
@@ -185,8 +190,7 @@ def bench_kernel(
             records.append(
                 {"path": path, "L": int(l), "N": int(sys.n), "millis": 1e3 * best}
             )
-        scale = max(float(np.max(np.abs(naive.taps))), 1e-300)
-        agreement = max(agreement, float(np.max(np.abs(naive.taps - genfn.taps))) / scale)
+        agreement = max(agreement, _rel_linf(genfn.taps, naive.taps))
     summary = {
         "lengths": [int(l) for l in l_list],
         "state_size": int(sys.n),

@@ -15,16 +15,15 @@ semantics at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from .conv import causal_conv_fft
-from .errors import DimensionError, DivergedStateError
+from .conv import _recurrence, causal_conv
+from .errors import DimensionError
+from .kernel import _impulse_response
 from .ssm import DiscreteSystem, DplrSystem, discretize_bilinear
-
-_DIVERGENCE_LIMIT = 1e100
 
 DEFAULT_WINDOW_DIVISOR = 64
 MIN_WINDOW = 8
@@ -39,7 +38,7 @@ def default_window(l: int) -> int:
 class CorrelationSignal:
     """Products of p consecutive input samples, zero-padded on the left.
 
-    values[k] = u[k] * u[k-1] * ... * u[k-p+1] for k >= p-1, else 0.
+    values[k] = u[k] * u[k-1] * ... * u[k-p+1] for k >= p-1, else 0, along the last axis.
     """
 
     order: int
@@ -72,28 +71,24 @@ class LiquidKernelSet:
 
 
 def correlation_signal(u: np.ndarray, p: int) -> CorrelationSignal:
-    """Order-p consecutive-window correlation signal of a 1-D input."""
+    """Order-p consecutive-window correlation signal along the last axis of u."""
     u = np.asarray(u, dtype=float)
-    l = u.shape[0]
+    l = u.shape[-1]
     if p < 2:
         raise DimensionError(f"invalid order p={p}; need p >= 2")
     if p > l:
         raise DimensionError(f"order p={p} exceeds sequence length {l}")
-    window = np.ones(l - p + 1)
-    for j in range(p):
-        window = window * u[j : l - p + 1 + j]
-    values = np.concatenate([np.zeros(p - 1), window])
+    values = np.zeros_like(u)
+    window = u[..., : l - p + 1]
+    for j in range(1, p):
+        window = window * u[..., j : l - p + 1 + j]
+    values[..., p - 1 :] = window
     return CorrelationSignal(order=p, values=values)
 
 
 def _kb_taps_discrete(d: DiscreteSystem, p: int, window: int) -> np.ndarray:
-    """Complex lag-ordered KB taps from already-discretized operators."""
-    x = d.b_bar**p
-    taps = np.empty(window, dtype=complex)
-    for i in range(window):
-        taps[i] = np.vdot(d.c_bar, x)
-        x = d.a_bar @ x
-    return taps
+    """Complex lag-ordered KB taps: the impulse response with b_bar ** p as input map."""
+    return _impulse_response(replace(d, b_bar=d.b_bar**p), window)
 
 
 def _pb_taps_discrete(d: DiscreteSystem, p: int, window: int) -> np.ndarray:
@@ -157,14 +152,14 @@ def build_liquid_kernels(
 
 
 def apply_liquid(kset: LiquidKernelSet, u: np.ndarray) -> np.ndarray:
-    """Total liquid contribution: sum over orders of taps_p * corr_p(u)."""
+    """Total liquid contribution along the last axis: sum over orders of taps_p * corr_p(u)."""
     u = np.asarray(u, dtype=float)
-    l = u.shape[0]
+    l = u.shape[-1]
     if kset.window > l:
         raise DimensionError(f"window {kset.window} exceeds sequence length {l}")
-    out = np.zeros(l)
+    out = np.zeros_like(u)
     for p in range(2, kset.max_order + 1):
-        out += causal_conv_fft(kset.order_taps(p), correlation_signal(u, p).values)
+        out += causal_conv(kset.order_taps(p), correlation_signal(u, p).values)
     return out
 
 
@@ -212,15 +207,7 @@ def recurrent_liquid(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:
     with x_{-1} = 0. The input-dependent term is the Hadamard product of
     b_bar with the previous state, scaled by the current sample.
     """
-    u = np.asarray(u, dtype=float)
-    x = np.zeros(d.n, dtype=complex)
-    y = np.empty(u.shape[0])
-    for k, uk in enumerate(u):
-        x = d.a_bar @ x + d.b_bar * x * uk + d.b_bar * uk
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _DIVERGENCE_LIMIT:
-            raise DivergedStateError(k)
-        y[k] = np.vdot(d.c_bar, x).real
-    return y
+    return _recurrence(d, u, d.b_bar)
 
 
 def liquid_expansion_oracle(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:

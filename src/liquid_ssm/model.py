@@ -9,8 +9,8 @@ differences over a deliberately tiny parameter vector; no autodiff.
 Trainable parameters: the 1 -> H input lift, the per-layer per-feature
 complex output maps, per-path gains, and the readout. The
 diagonal-plus-low-rank core and the step sizes stay frozen at their LegS
-initialization, so every forward pass reuses precomputed Krylov bases and
-costs a handful of FFTs.
+initialization, so every forward pass reuses precomputed Krylov bases and,
+at training sizes, costs a few banded-Toeplitz matmuls (``conv.causal_conv``).
 
 Inside a layer the main and per-order liquid tap sequences are normalized to
 unit energy and scaled by their gains. Jointly rescaling the output and input
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import SequenceBatch, next_pow2
+from .conv import SequenceBatch, causal_conv
 from .errors import DimensionError, ParameterBudgetError
+from .liquid import correlation_signal
 from .ssm import discretize_bilinear, init_dt_schedule, nplr_decompose, with_output_map
 
 TASK_NAMES = ("adjacent-product-sign", "impulse-memory")
@@ -160,7 +161,6 @@ class SequenceClassifier:
         self.stack = stack
         self.seq_length = int(seq_length)
         self.seed = int(seed)
-        self._band_cache: dict[tuple[int, int], tuple] = {}
         h = stack.features
         rng = np.random.default_rng(seed)
 
@@ -235,40 +235,6 @@ class SequenceClassifier:
 
     # -- forward -------------------------------------------------------------
 
-    def _banded_operator(self, l: int, lk: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (l, lk)
-        if key not in self._band_cache:
-            lag = np.arange(l)[None, :] - np.arange(l)[:, None]  # [in, out] = out - in
-            valid = (lag >= 0) & (lag < lk)
-            self._band_cache[key] = (np.clip(lag, 0, lk - 1), valid)
-        return self._band_cache[key]
-
-    def _conv_all(self, x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-        """Per-feature causal convolution of x (n, H, L) with taps (H, L_k).
-
-        Short sequences go through a banded-Toeplitz matmul, which beats the
-        transform path by a wide margin at training sizes; longer ones fall
-        back to FFT convolution.
-        """
-        l = x.shape[-1]
-        lk = taps.shape[-1]
-        if l * l <= 1 << 16:
-            lag, valid = self._banded_operator(l, lk)
-            band = np.where(valid, taps[:, lag], 0.0)  # (H, L, L)
-            return (x.transpose(1, 0, 2) @ band).transpose(1, 0, 2)
-        size = next_pow2(l + lk - 1)
-        xf = np.fft.rfft(x, n=size)
-        kf = np.fft.rfft(taps, n=size)
-        return np.fft.irfft(xf * kf, n=size)[..., :l]
-
-    def _correlation(self, x: np.ndarray, p: int) -> np.ndarray:
-        """Order-p consecutive products along time for (n, H, L) activations."""
-        n, h, l = x.shape
-        v = np.ones((n, h, l - p + 1))
-        for j in range(p):
-            v = v * x[..., j : l - p + 1 + j]
-        return np.concatenate([np.zeros((n, h, p - 1)), v], axis=-1)
-
     @staticmethod
     def _unit(taps: np.ndarray) -> np.ndarray:
         return taps / np.maximum(np.linalg.norm(taps, axis=-1, keepdims=True), 1e-12)
@@ -283,12 +249,12 @@ class SequenceClassifier:
         c = self.params[f"c_re_{li}"] + 1j * self.params[f"c_im_{li}"]
         taps = np.einsum("hn,hnt->ht", c.conj(), self._krylov[li]).real
         gain = self.params[f"gain_main_{li}"]
-        main = self._conv_all(x, self._unit(taps)) * gain[:, None]
+        main = causal_conv(self._unit(taps), x) * gain[:, None]
         liquid = np.zeros_like(main)
         for p, kry in self._liquid_krylov[li].items():
             ltaps = np.einsum("hn,hnt->ht", c.conj(), kry).real
             lgain = self.params[f"gain_liquid_{li}"][:, p - 2]
-            liquid += self._conv_all(self._correlation(x, p), self._unit(ltaps)) * lgain[:, None]
+            liquid += causal_conv(self._unit(ltaps), correlation_signal(x, p).values) * lgain[:, None]
         return main, liquid
 
     def _normalize(self, x: np.ndarray, kind: str) -> np.ndarray:

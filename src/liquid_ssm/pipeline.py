@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import causal_conv_fft
+from .conv import causal_conv
 from .errors import DimensionError
 from .kernel import kernel_genfn
 from .liquid import apply_liquid, build_liquid_kernels, default_window
@@ -21,17 +21,18 @@ def forward_liquid_s4(
     max_order: int = 2,
     window: int | None = None,
 ) -> np.ndarray:
-    """Run one single-feature sequence through the convolutional path.
+    """Run single-feature sequences through the convolutional path.
 
-    y = (main kernel) * u, plus the per-order liquid contribution when
-    ``mode`` is ``'kb'`` or ``'pb'``. With ``mode='none'`` this must agree
-    with the recurrent reference to 1e-8.
+    y = (main kernel) * u along the last axis of one sequence (L,) or a batch
+    (..., L), plus the per-order liquid contribution when ``mode`` is ``'kb'``
+    or ``'pb'``. With ``mode='none'`` this must agree with the recurrent
+    reference to 1e-8.
     """
     if mode not in MODES:
         raise DimensionError(f"unknown mode {mode!r}")
     u = np.asarray(u, dtype=float)
-    l = u.shape[0]
-    y = causal_conv_fft(kernel_genfn(sys, dt, l).taps, u)
+    l = u.shape[-1]
+    y = causal_conv(kernel_genfn(sys, dt, l).taps, u)
     if mode != "none":
         if max_order < 2:
             raise DimensionError("liquid modes need max_order >= 2")

@@ -8,7 +8,8 @@ bit-exact.
 CSV holds one single-feature sequence per line (human-editable fixtures);
 floats are written with shortest round-trip precision.
 
-Parse failures raise ``SequenceParseError`` carrying the failing byte offset.
+Parse failures raise ``SequenceParseError`` carrying the failing byte offset;
+writers reject values their format cannot hold with ``DimensionError``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .errors import SequenceParseError
+from .errors import DimensionError, SequenceParseError
 
 MAGIC = b"LSQ4"
 VERSION = 1
@@ -27,7 +28,7 @@ _HEADER = struct.Struct("<4sIIIII")
 def write_sequences_binary(path: str, values: np.ndarray) -> None:
     values = np.ascontiguousarray(values, dtype="<f8")
     if values.ndim != 3:
-        raise ValueError("expected (batch, length, features) values")
+        raise DimensionError("expected (batch, length, features) values")
     b, l, h = values.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, b, l, h, 0))
@@ -58,12 +59,10 @@ def read_sequences_binary(path: str) -> np.ndarray:
 
 def write_sequences_csv(path: str, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
-    if values.ndim == 3:
-        if values.shape[2] != 1:
-            raise ValueError("CSV format holds single-feature sequences only")
+    if values.ndim == 3 and values.shape[2] == 1:
         values = values[:, :, 0]
     if values.ndim != 2:
-        raise ValueError("expected (batch, length) or (batch, length, 1) values")
+        raise DimensionError("CSV holds (batch, length) or (batch, length, 1) values")
     with open(path, "w") as fh:
         for row in values:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -103,15 +102,25 @@ def read_sequences_csv(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)[:, :, None]
 
 
-def read_sequences(path: str) -> np.ndarray:
+def _is_csv(path: str) -> bool:
     """Dispatch on extension: ``.csv`` is text, anything else is binary."""
-    if str(path).endswith(".csv"):
+    return str(path).endswith(".csv")
+
+
+def check_writable(path: str, features: int) -> None:
+    """Raise ``DimensionError`` if the format ``path`` selects cannot hold ``features`` features."""
+    if _is_csv(path) and features != 1:
+        raise DimensionError(f"CSV format holds single-feature sequences only, got {features} features")
+
+
+def read_sequences(path: str) -> np.ndarray:
+    if _is_csv(path):
         return read_sequences_csv(path)
     return read_sequences_binary(path)
 
 
 def write_sequences(path: str, values: np.ndarray) -> None:
-    if str(path).endswith(".csv"):
+    if _is_csv(path):
         write_sequences_csv(path, values)
     else:
         write_sequences_binary(path, values)

@@ -9,12 +9,12 @@ harness can actually fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .conv import causal_conv_direct, causal_conv_fft, recurrent_s4
-from .kernel import kernel_genfn, kernel_naive
+from .kernel import _rel_linf, kernel_genfn, kernel_naive
 from .liquid import (
     apply_liquid,
     build_liquid_kernels,
@@ -49,11 +49,6 @@ class CheckResult:
 def _result(name: str, residual: float, tolerance: float) -> CheckResult:
     residual = float(residual)
     return CheckResult(name, residual, tolerance, bool(residual <= tolerance))
-
-
-def _rel_linf(got: np.ndarray, want: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(want))), 1e-300)
-    return float(np.max(np.abs(got - want))) / scale
 
 
 def _random_system(rng: np.random.Generator, n: int) -> DplrSystem:
@@ -185,7 +180,8 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     u = rng.normal(0.0, 1.0, 24)
     for p in (2, 3):
         kset = build_liquid_kernels(sys, 0.05, "kb", p, 6)
-        single = LiquidSingleOrder(kset, p)
+        # orders below p zeroed: the set is homogeneous of degree p
+        single = replace(kset, taps=tuple(np.zeros_like(t) for t in kset.taps[:-1]) + kset.taps[-1:])
         base = apply_liquid(single, u)
         for alpha in (2.0, -1.0):
             res = max(res, float(np.max(np.abs(apply_liquid(single, alpha * u) - alpha**p * base))))
@@ -205,16 +201,3 @@ def liquid_oracle_pb_reference(
     liquid_part = liquid_oracle(ident, u, max_order, window) - liquid_oracle(ident, u, 1, window)
     return vanilla + liquid_part
 
-
-class LiquidSingleOrder:
-    """View of a kernel set restricted to one order (helper for scaling checks)."""
-
-    def __init__(self, kset, order: int):
-        self.mode = kset.mode
-        self.max_order = order
-        self.window = kset.window
-        self._kset = kset
-        self._order = order
-
-    def order_taps(self, p: int) -> np.ndarray:
-        return self._kset.order_taps(p) if p == self._order else np.zeros(self.window)

@@ -2,16 +2,9 @@
 
 import numpy as np
 
-from liquid_ssm.ssm import DiscreteSystem, DplrSystem
-
-
-def random_stable_system(rng: np.random.Generator, n: int) -> DplrSystem:
-    """Random system with Re(lam) < 0, hence stable for any rank-1 factor."""
-    lam = -np.exp(rng.normal(-1.0, 0.7, n)) + 1j * rng.normal(0.0, 2.0, n)
-    p = rng.normal(0.0, 0.5, n) + 1j * rng.normal(0.0, 0.5, n)
-    b = rng.normal(0.0, 1.0, n) + 1j * rng.normal(0.0, 1.0, n)
-    c = rng.normal(0.0, 1.0, n) + 1j * rng.normal(0.0, 1.0, n)
-    return DplrSystem(lam=lam, p=p, b=b, c=c)
+from liquid_ssm.kernel import _rel_linf as rel_linf  # noqa: F401
+from liquid_ssm.ssm import DiscreteSystem
+from liquid_ssm.verify import _random_system as random_stable_system  # noqa: F401
 
 
 def scalar_discrete(a: float, b: float, c: float, dt: float = 1.0) -> DiscreteSystem:
@@ -22,6 +15,3 @@ def scalar_discrete(a: float, b: float, c: float, dt: float = 1.0) -> DiscreteSy
         dt=dt,
     )
 
-
-def rel_linf(got: np.ndarray, want: np.ndarray) -> float:
-    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)

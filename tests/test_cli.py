@@ -123,6 +123,18 @@ class TestConvolveCommand:
     def test_missing_file_exit_3(self, tmp_path):
         assert run(["convolve", str(tmp_path / "nope.lsq4"), "--out", str(tmp_path / "y.lsq4")]) == 3
 
+    def test_missing_out_exit_2_before_reading(self, tmp_path, capsys):
+        assert run(["convolve", str(tmp_path / "nope.lsq4")]) == 2
+        assert "--out" in capsys.readouterr().err
+
+    def test_multi_feature_csv_out_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "u.lsq4"
+        seqio.write_sequences(str(src), np.ones((1, 8, 2)))
+        out = tmp_path / "y.csv"
+        assert run(["convolve", str(src), "--out", str(out)]) == 2
+        assert "2 features" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_exit_0_and_enough_invariants(self, tmp_path, capsys):
