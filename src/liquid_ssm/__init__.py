@@ -12,7 +12,6 @@ from .kernel import (
     unit_roots,
 )
 from .liquid import (
-    CorrelationSignal,
     LiquidKernelSet,
     apply_liquid,
     build_liquid_kernels,
@@ -50,7 +49,6 @@ from .verify import CheckResult, run_suite
 
 __all__ = [
     "CheckResult",
-    "CorrelationSignal",
     "DiscreteSystem",
     "DplrSystem",
     "Kernel",

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .model import (
     train_demo,
 )
 from .pipeline import feature_systems, forward_liquid_s4
-from .ssm import discretize_bilinear, hippo_legs, init_dt_schedule, nplr_decompose
+from .ssm import DplrSystem, discretize_bilinear, hippo_legs, init_dt_schedule, nplr_decompose
 from .verify import run_suite
 
 BENCH_LENGTHS = (1024, 2048, 4096, 8192, 16384)
@@ -55,6 +57,8 @@ class RunConfig:
     n_train: int = 200
 
     def validate(self):
+        if not all(math.isfinite(v) for v in (self.dt_max, self.lr, self.dt_min or 1.0)):
+            raise errors.ConfigError("dt_min, dt_max and lr must be finite")
         if self.state < 1:
             raise errors.ConfigError(f"invalid dimension: state={self.state}")
         if self.length < 1:
@@ -78,6 +82,23 @@ class RunConfig:
         return self.window if self.window is not None else default_window(self.length)
 
 
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _check_type(name: str, hint, value):
+    """Raise ConfigError unless a JSON value fits its RunConfig field type.
+
+    int fields reject bool and float, float fields take int or float, and
+    None is allowed only for Optional fields.
+    """
+    args = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in args:
+        return
+    accepted = {int: (int,), float: (int, float), str: (str,)}[args[0]]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise errors.ConfigError(f"config key {name!r} needs {args[0].__name__}, got {value!r}")
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
@@ -86,12 +107,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise errors.ConfigError(f"malformed config file: {exc}") from exc
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise errors.ConfigError("config file must hold a JSON object")
+        unknown = set(data) - set(_FIELD_TYPES)
         if unknown:
             raise errors.ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            _check_type(name, _FIELD_TYPES[name], value)
         cfg = replace(cfg, **data)
-    for name in (f.name for f in fields(RunConfig)):
+    for name in _FIELD_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             cfg = replace(cfg, **{name: value})
@@ -133,17 +157,15 @@ def cmd_hippo(args) -> int:
     return 0
 
 
-def _single_feature_dt(cfg: RunConfig) -> float:
-    schedule = init_dt_schedule(
-        1, dt_min=cfg.dt_min, dt_max=cfg.dt_max, seed=cfg.seed, seq_length=cfg.length
-    )
-    return float(schedule.per_feature_dt[0])
+def _systems(cfg: RunConfig, h: int, length: int) -> list[tuple[DplrSystem, float]]:
+    """The run's h per-feature systems, with steps drawn over the config's dt range."""
+    schedule = init_dt_schedule(h, cfg.dt_min, cfg.dt_max, cfg.seed, length)
+    return feature_systems(cfg.state, h, cfg.seed, schedule)
 
 
 def cmd_kernel(args) -> int:
     cfg = load_config(args)
-    sys_ = nplr_decompose(cfg.state, seed=cfg.seed)
-    dt = _single_feature_dt(cfg)
+    (sys_, dt), = _systems(cfg, 1, cfg.length)
     t0 = time.perf_counter()
     fast = kernel_genfn(sys_, dt, cfg.length)
     genfn_ms = 1e3 * (time.perf_counter() - t0)
@@ -197,9 +219,8 @@ def cmd_convolve(args) -> int:
     cfg = replace(cfg, length=length, features=h)
     cfg.validate()
     window = min(cfg.resolved_window(), length)
-    bank = feature_systems(cfg.state, h, cfg.seed, seq_length=length)
     out = np.empty_like(values)
-    for i, (sys_, dt) in enumerate(bank):
+    for i, (sys_, dt) in enumerate(_systems(cfg, h, length)):
         out[:, :, i] = forward_liquid_s4(sys_, dt, values[:, :, i], cfg.mode, cfg.order, window)
     seqio.write_sequences(args.out, out)
     return 0
@@ -238,8 +259,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_config(args)
-    sys_ = nplr_decompose(cfg.state, seed=cfg.seed)
-    dt = _single_feature_dt(replace(cfg, length=BENCH_LENGTHS[0]))
+    (sys_, dt), = _systems(cfg, 1, BENCH_LENGTHS[0])
     report = bench_kernel(sys_, dt, list(BENCH_LENGTHS), repeats=3)
     window = cfg.window if cfg.window is not None else 256
     order = cfg.order if cfg.mode != "none" else 3

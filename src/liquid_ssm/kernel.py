@@ -12,6 +12,7 @@ relative L-infinity on any stable system.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +57,16 @@ def _rel_linf(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want))) / scale
 
 
+def _krylov(a: np.ndarray, x: np.ndarray, l: int) -> Iterator[np.ndarray]:
+    """Yield the Krylov sequence x, a x, ..., a^(l-1) x, one matvec per step."""
+    for _ in range(l):
+        yield x
+        x = a @ x
+
+
 def _impulse_response(d: DiscreteSystem, l: int) -> np.ndarray:
-    """Complex taps <c_bar, a_bar^i b_bar> for i = 0..l-1 by repeated matvec."""
-    x = d.b_bar.copy()
-    taps = np.empty(l, dtype=complex)
-    for i in range(l):
-        taps[i] = np.vdot(d.c_bar, x)
-        x = d.a_bar @ x
-    return taps
+    """Complex taps <c_bar, a_bar^i b_bar> for i = 0..l-1, streamed from ``_krylov``."""
+    return np.fromiter((np.vdot(d.c_bar, x) for x in _krylov(d.a_bar, d.b_bar, l)), complex, l)
 
 
 def kernel_naive(d: DiscreteSystem, l: int) -> Kernel:

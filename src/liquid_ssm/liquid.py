@@ -35,20 +35,6 @@ def default_window(l: int) -> int:
 
 
 @dataclass(frozen=True)
-class CorrelationSignal:
-    """Products of p consecutive input samples, zero-padded on the left.
-
-    values[k] = u[k] * u[k-1] * ... * u[k-p+1] for k >= p-1, else 0, along the last axis.
-    """
-
-    order: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-@dataclass(frozen=True)
 class LiquidKernelSet:
     """Per-order liquid tap sequences (orders 2..max_order, each length window)."""
 
@@ -70,8 +56,12 @@ class LiquidKernelSet:
         return self.taps[p - 2]
 
 
-def correlation_signal(u: np.ndarray, p: int) -> CorrelationSignal:
-    """Order-p consecutive-window correlation signal along the last axis of u."""
+def correlation_signal(u: np.ndarray, p: int) -> np.ndarray:
+    """Order-p consecutive-window correlation signal along the last axis of u.
+
+    Products of p consecutive samples, zero-padded on the left:
+    out[k] = u[k] * u[k-1] * ... * u[k-p+1] for k >= p-1, else 0.
+    """
     u = np.asarray(u, dtype=float)
     l = u.shape[-1]
     if p < 2:
@@ -83,7 +73,7 @@ def correlation_signal(u: np.ndarray, p: int) -> CorrelationSignal:
     for j in range(1, p):
         window = window * u[..., j : l - p + 1 + j]
     values[..., p - 1 :] = window
-    return CorrelationSignal(order=p, values=values)
+    return values
 
 
 def _kb_taps_discrete(d: DiscreteSystem, p: int, window: int) -> np.ndarray:
@@ -159,7 +149,7 @@ def apply_liquid(kset: LiquidKernelSet, u: np.ndarray) -> np.ndarray:
         raise DimensionError(f"window {kset.window} exceeds sequence length {l}")
     out = np.zeros_like(u)
     for p in range(2, kset.max_order + 1):
-        out += causal_conv(kset.order_taps(p), correlation_signal(u, p).values)
+        out += causal_conv(kset.order_taps(p), correlation_signal(u, p))
     return out
 
 

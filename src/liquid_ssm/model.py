@@ -9,8 +9,10 @@ differences over a deliberately tiny parameter vector; no autodiff.
 Trainable parameters: the 1 -> H input lift, the per-layer per-feature
 complex output maps, per-path gains, and the readout. The
 diagonal-plus-low-rank core and the step sizes stay frozen at their LegS
-initialization, so every forward pass reuses precomputed Krylov bases and,
-at training sizes, costs a few banded-Toeplitz matmuls (``conv.causal_conv``).
+initialization. Each layer draws its systems from ``pipeline.feature_systems``
+and stacks their Krylov bases once from ``kernel._krylov``, so every forward
+pass only contracts the bases with the output maps and, at training sizes,
+costs a few banded-Toeplitz matmuls (``conv.causal_conv``).
 
 Inside a layer the main and per-order liquid tap sequences are normalized to
 unit energy and scaled by their gains. Jointly rescaling the output and input
@@ -29,8 +31,10 @@ import numpy as np
 
 from .conv import SequenceBatch, causal_conv
 from .errors import DimensionError, ParameterBudgetError
+from .kernel import _krylov
 from .liquid import correlation_signal
-from .ssm import discretize_bilinear, init_dt_schedule, nplr_decompose, with_output_map
+from .pipeline import feature_systems
+from .ssm import discretize_bilinear, init_dt_schedule
 
 TASK_NAMES = ("adjacent-product-sign", "impulse-memory")
 PARAM_BUDGET = 2000
@@ -47,7 +51,6 @@ class LayerConfig:
     window: int = 8
     norm: str = "none"  # batch | layer | none
     prenorm: bool = False
-    dropout: float = 0.0
     activation: str = "gelu"  # gelu | identity
     residual: bool = True
     dt_min: float | None = None
@@ -60,8 +63,6 @@ class LayerConfig:
             raise DimensionError(f"unknown mode {self.mode!r}")
         if self.mode != "none" and not 2 <= self.max_order <= 10:
             raise DimensionError("liquid order must lie in 2..10")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DimensionError("dropout must lie in [0, 1)")
         if self.norm not in ("batch", "layer", "none"):
             raise DimensionError(f"unknown norm {self.norm!r}")
         if self.activation not in ("gelu", "identity"):
@@ -119,6 +120,11 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + x / np.sqrt(1.0 + x * x))
 
 
+def _basis(a: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
+    """The (N, l) Krylov basis [x, a x, ..., a^(l-1) x]."""
+    return np.stack(list(_krylov(a, x, l)), axis=-1)
+
+
 def generate_task(task: SyntheticTask, n: int, seed: int) -> tuple[SequenceBatch, np.ndarray]:
     """Draw a labelled dataset; balanced within 5 percent per class.
 
@@ -164,42 +170,23 @@ class SequenceClassifier:
         h = stack.features
         rng = np.random.default_rng(seed)
 
-        # frozen per-layer machinery: Krylov bases for the main and liquid taps
-        self._krylov: list[np.ndarray] = []  # (H, N, L) for <c, a^i b>
-        self._liquid_krylov: list[dict[int, np.ndarray]] = []  # order -> (H, N, window)
+        # frozen per-layer Krylov bases: a^t b for the main taps, and for each
+        # liquid order p, a^t b^p (KB) or b^p repeated (PB, identity transition)
+        self._bases: list[np.ndarray] = []  # (H, N, L)
+        self._liquid_bases: list[dict[int, np.ndarray]] = []  # order -> (H, N, window)
         c_init: list[np.ndarray] = []
         for li, layer in enumerate(stack.layers):
-            base = nplr_decompose(layer.state_size, seed=seed * 1000 + li)
-            schedule = init_dt_schedule(
-                h,
-                dt_min=layer.dt_min,
-                dt_max=layer.dt_max,
-                seed=seed * 1000 + li,
-                seq_length=seq_length,
-            )
-            kry = np.empty((h, layer.state_size, seq_length), dtype=complex)
-            liq: dict[int, np.ndarray] = {}
-            if layer.mode != "none":
-                for p in range(2, layer.max_order + 1):
-                    liq[p] = np.empty((h, layer.state_size, layer.window), dtype=complex)
-            cs = np.empty((h, layer.state_size), dtype=complex)
-            for i in range(h):
-                sysi = with_output_map(base, seed * 1000 + 97 * li + i)
-                d = discretize_bilinear(sysi, float(schedule.per_feature_dt[i]))
-                cs[i] = sysi.c / np.sqrt(layer.state_size)
-                x = d.b_bar.copy()
-                for t in range(seq_length):
-                    kry[i, :, t] = x
-                    x = d.a_bar @ x
-                for p, store in liq.items():
-                    xb = d.b_bar**p
-                    a_step = d.a_bar if layer.mode == "kb" else np.eye(layer.state_size)
-                    for t in range(layer.window):
-                        store[i, :, t] = xb
-                        xb = a_step @ xb
-            self._krylov.append(kry)
-            self._liquid_krylov.append(liq)
-            c_init.append(cs)
+            schedule = init_dt_schedule(h, layer.dt_min, layer.dt_max, seed * 1000 + li, seq_length)
+            bank = feature_systems(layer.state_size, h, seed * 1000 + 97 * li, schedule)
+            ds = [discretize_bilinear(sys_, dt) for sys_, dt in bank]
+            eye = np.eye(layer.state_size)
+            orders = range(2, layer.max_order + 1) if layer.mode != "none" else ()
+            self._bases.append(np.stack([_basis(d.a_bar, d.b_bar, seq_length) for d in ds]))
+            self._liquid_bases.append({
+                p: np.stack([_basis(d.a_bar if layer.mode == "kb" else eye, d.b_bar**p, layer.window) for d in ds])
+                for p in orders
+            })
+            c_init.append(np.stack([sys_.c for sys_, _ in bank]) / np.sqrt(layer.state_size))
 
         self.params: dict[str, np.ndarray] = {"lift_w": rng.normal(0.0, 1.0, h), "lift_b": np.zeros(h)}
         for li, cs in enumerate(c_init):
@@ -247,14 +234,14 @@ class SequenceClassifier:
         directly.
         """
         c = self.params[f"c_re_{li}"] + 1j * self.params[f"c_im_{li}"]
-        taps = np.einsum("hn,hnt->ht", c.conj(), self._krylov[li]).real
+        taps = np.einsum("hn,hnt->ht", c.conj(), self._bases[li]).real
         gain = self.params[f"gain_main_{li}"]
         main = causal_conv(self._unit(taps), x) * gain[:, None]
         liquid = np.zeros_like(main)
-        for p, kry in self._liquid_krylov[li].items():
+        for p, kry in self._liquid_bases[li].items():
             ltaps = np.einsum("hn,hnt->ht", c.conj(), kry).real
             lgain = self.params[f"gain_liquid_{li}"][:, p - 2]
-            liquid += causal_conv(self._unit(ltaps), correlation_signal(x, p).values) * lgain[:, None]
+            liquid += causal_conv(self._unit(ltaps), correlation_signal(x, p)) * lgain[:, None]
         return main, liquid
 
     def _normalize(self, x: np.ndarray, kind: str) -> np.ndarray:
@@ -266,7 +253,7 @@ class SequenceClassifier:
             v = x.var(axis=1, keepdims=True)
         return (x - m) / np.sqrt(v + 1e-5)
 
-    def forward(self, u: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
+    def forward(self, u: np.ndarray) -> np.ndarray:
         """Logits for a batch of raw sequences u (n, L)."""
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != self.seq_length:
@@ -279,11 +266,6 @@ class SequenceClassifier:
             main, liquid = self.layer_contributions(li, z_in)
             z = main + liquid
             a = gelu(z) if layer.activation == "gelu" else z
-            if train and layer.dropout > 0.0:
-                if rng is None:
-                    raise DimensionError("dropout requires an rng in training mode")
-                mask = rng.random(a.shape) >= layer.dropout
-                a = a * mask / (1.0 - layer.dropout)
             x = x + a if layer.residual else a
             if layer.norm != "none" and not layer.prenorm:
                 x = self._normalize(x, layer.norm)
@@ -329,10 +311,9 @@ def train_demo(
 
     Refuses models over the parameter budget. Deterministic under a fixed
     seed: the dataset, the probe order, and the update rule contain no other
-    randomness, and the objective always runs the forward pass in evaluation
-    mode (dropout off; stochastic masks would poison the difference
-    quotients). Returns a report with per-epoch loss/accuracy, final metrics,
-    the seed, and a configuration echo.
+    randomness, and the forward pass has none. Returns a report with
+    per-epoch loss/accuracy, final metrics, the seed, and a configuration
+    echo.
     """
     if model.param_count > budget:
         raise ParameterBudgetError(model.param_count, budget)

@@ -7,8 +7,9 @@ import pytest
 from liquid_ssm import seqio
 from liquid_ssm.cli import main
 from liquid_ssm.conv import recurrent_s4
-from liquid_ssm.pipeline import feature_systems
-from liquid_ssm.ssm import discretize_bilinear
+from liquid_ssm.liquid import default_window
+from liquid_ssm.pipeline import feature_systems, forward_liquid_s4
+from liquid_ssm.ssm import discretize_bilinear, init_dt_schedule
 
 
 def run(argv):
@@ -99,6 +100,24 @@ class TestConvolveCommand:
             want = recurrent_s4(d, values[bi, :, 0])
             err = np.max(np.abs(got[bi, :, 0] - want)) / np.max(np.abs(want))
             assert err < 1e-8
+
+    def test_dt_range_config_applies(self, tmp_path):
+        rng = np.random.default_rng(1)
+        values = rng.normal(size=(2, 40, 2))
+        src = tmp_path / "u.lsq4"
+        seqio.write_sequences(str(src), values)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt_min": 0.01, "dt_max": 0.05}))
+        outs = {}
+        for name, extra in (("default", []), ("ranged", ["--config", str(cfg)])):
+            out = tmp_path / f"{name}.lsq4"
+            assert run(["convolve", str(src), "--mode", "kb", "--order", "3", "--out", str(out)] + extra) == 0
+            outs[name] = seqio.read_sequences(str(out))
+        assert not np.array_equal(outs["default"], outs["ranged"])
+        schedule = init_dt_schedule(2, 0.01, 0.05, 0, 40)
+        for i, (sys_, dt) in enumerate(feature_systems(8, 2, 0, schedule)):
+            want = forward_liquid_s4(sys_, dt, values[:, :, i], "kb", 3, default_window(40))
+            np.testing.assert_array_equal(outs["ranged"][:, :, i], want)
 
     def test_csv_roundtrip(self, tmp_path):
         src = tmp_path / "u.csv"
@@ -233,6 +252,26 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": "wet"}))
         assert run(["kernel", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"state": "8"}',
+            '{"window": "8"}',
+            '{"dt_max": null}',
+            '{"seed": "x"}',
+            '{"state": true}',
+            '{"length": 2.5}',
+            '{"epochs": "3"}',
+            '{"dt_max": NaN}',
+            "[1]",
+        ],
+    )
+    def test_wrongly_typed_value_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(["kernel", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_determinism_excluding_timing(self, tmp_path):
         docs = []

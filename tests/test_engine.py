@@ -99,10 +99,10 @@ def test_correlation_signal_batched_matches_rows(batch, h, l, p, seed):
         with pytest.raises(DimensionError):
             correlation_signal(u, p)
         return
-    got = correlation_signal(u, p).values
+    got = correlation_signal(u, p)
     for b in range(batch):
         for i in range(h):
-            np.testing.assert_array_equal(got[b, i], correlation_signal(u[b, i], p).values)
+            np.testing.assert_array_equal(got[b, i], correlation_signal(u[b, i], p))
 
 
 @PROPERTY

@@ -29,18 +29,18 @@ def scalar_dplr(a_cont, b, c):
 class TestCorrelationSignal:
     def test_adjacent_products(self):
         sig = correlation_signal(np.array([1.0, 2.0, 3.0]), 2)
-        assert sig.values == pytest.approx([0.0, 2.0, 6.0])
+        assert sig == pytest.approx([0.0, 2.0, 6.0])
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_unit_input(self, p):
         sig = correlation_signal(np.ones(6), p)
         want = np.ones(6)
         want[: p - 1] = 0.0
-        assert sig.values == pytest.approx(want)
+        assert sig == pytest.approx(want)
 
     def test_zero_inside_every_window(self):
         sig = correlation_signal(np.array([2.0, 0.0, 5.0, 3.0]), 3)
-        assert sig.values == pytest.approx([0.0, 0.0, 0.0, 0.0])
+        assert sig == pytest.approx([0.0, 0.0, 0.0, 0.0])
 
     def test_invalid_order(self):
         with pytest.raises(DimensionError):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from liquid_ssm.conv import recurrent_s4
+from liquid_ssm.conv import causal_conv_direct, recurrent_s4
 from liquid_ssm.errors import DimensionError, ParameterBudgetError
+from liquid_ssm.kernel import kernel_naive
+from liquid_ssm.liquid import _kb_taps_discrete, _pb_taps_discrete
 from liquid_ssm.model import (
     LayerConfig,
     ModelStack,
@@ -13,7 +15,13 @@ from liquid_ssm.model import (
     generate_task,
     train_demo,
 )
+from liquid_ssm.pipeline import feature_systems
 from liquid_ssm.ssm import discretize_bilinear, init_dt_schedule, nplr_decompose, with_output_map
+
+
+def window_products(u, p):
+    """u[k] u[k-1] ... u[k-p+1], zero for k < p-1."""
+    return np.concatenate([np.zeros(p - 1), np.prod([u[j : len(u) - p + 1 + j] for j in range(p)], axis=0)])
 
 
 def small_stack(mode="none", features=4, state=4, **kwargs):
@@ -127,15 +135,29 @@ class TestForward:
             out = model.forward(np.random.default_rng(0).normal(size=(4, 16)))
             assert np.all(np.isfinite(out))
 
-    def test_dropout_requires_rng_and_is_train_only(self):
-        stack = small_stack("none", dropout=0.5)
-        model = SequenceClassifier(stack, seq_length=16, seed=0)
-        u = np.random.default_rng(1).normal(size=(4, 16))
-        with pytest.raises(DimensionError):
-            model.forward(u, train=True)
-        eval_a = model.forward(u)
-        eval_b = model.forward(u)
-        assert np.array_equal(eval_a, eval_b)
+    @pytest.mark.parametrize("mode", ["kb", "pb"])
+    def test_layer_contributions_match_oracle_taps(self, mode):
+        # each layer's main and liquid paths are the unit-normalised oracle
+        # taps of its feature_systems bank, convolved by direct summation
+        layer = LayerConfig(features=3, state_size=5, mode=mode, max_order=3, window=6, dt_min=0.02)
+        seed, length = 2, 20
+        model = SequenceClassifier(ModelStack(layers=(layer, layer)), seq_length=length, seed=seed)
+        oracle = _kb_taps_discrete if mode == "kb" else _pb_taps_discrete
+        x = np.random.default_rng(5).normal(size=(2, 3, length))
+        for li in range(2):
+            schedule = init_dt_schedule(3, 0.02, 0.2, seed * 1000 + li, length)
+            bank = feature_systems(5, 3, seed * 1000 + 97 * li, schedule)
+            main, liquid = model.layer_contributions(li, x)
+            for h, (sys_, dt) in enumerate(bank):
+                d = discretize_bilinear(sys_, dt)
+                taps = {1: kernel_naive(d, length).taps}
+                taps.update({p: oracle(d, p, 6).real for p in (2, 3)})
+                taps = {p: t / np.linalg.norm(t) for p, t in taps.items()}
+                for b in range(2):
+                    u = x[b, h]
+                    want_liquid = sum(causal_conv_direct(taps[p], window_products(u, p)) for p in (2, 3))
+                    assert np.max(np.abs(main[b, h] - causal_conv_direct(taps[1], u))) < 1e-12
+                    assert np.max(np.abs(liquid[b, h] - want_liquid)) < 1e-12
 
     def test_shape_mismatch(self):
         model = SequenceClassifier(small_stack(), seq_length=16, seed=0)
@@ -243,8 +265,6 @@ class TestConfigValidation:
     def test_layer_config_bounds(self):
         with pytest.raises(DimensionError):
             LayerConfig(mode="pb", max_order=11)
-        with pytest.raises(DimensionError):
-            LayerConfig(dropout=1.0)
         with pytest.raises(DimensionError):
             LayerConfig(mode="wet")
         with pytest.raises(DimensionError):
