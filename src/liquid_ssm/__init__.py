@@ -5,7 +5,6 @@ from .conv import SequenceBatch, causal_conv, causal_conv_direct, causal_conv_ff
 from .kernel import (
     Kernel,
     bench_kernel,
-    cauchy_dot,
     kernel_genfn,
     kernel_naive,
     truncate_generating_c,
@@ -19,7 +18,6 @@ from .liquid import (
     default_window,
     liquid_expansion_oracle,
     liquid_kernel_kb,
-    liquid_kernel_pb,
     liquid_oracle,
     recurrent_liquid,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "causal_conv",
     "causal_conv_direct",
     "causal_conv_fft",
-    "cauchy_dot",
     "correlation_signal",
     "default_window",
     "discretize_bilinear",
@@ -80,7 +77,6 @@ __all__ = [
     "legs_init_vectors",
     "liquid_expansion_oracle",
     "liquid_kernel_kb",
-    "liquid_kernel_pb",
     "liquid_oracle",
     "nplr_decompose",
     "recurrent_liquid",

@@ -1,9 +1,12 @@
 """Command-line surface: kernel generation, convolution, verification,
 benchmarking, and the training demo.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 I/O error. Reports are JSON documents; every command is deterministic
-under a fixed seed and config apart from fields under ``timing_ms``.
+Each command takes only the flags it reads (``COMMANDS``); a config file may
+hold any ``RunConfig`` key, and a command ignores the keys it does not read.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error or an
+input too large for memory, 3 I/O error. Reports are JSON documents; every
+command is deterministic under a fixed seed and config apart from fields
+under ``timing_ms``.
 """
 
 from __future__ import annotations
@@ -15,19 +18,14 @@ import sys
 import time
 import typing
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import errors, seqio
-from .kernel import _rel_linf, bench_kernel, kernel_genfn, kernel_naive
+from .kernel import _best_of, _rel_linf, bench_kernel, kernel_genfn, kernel_naive
 from .liquid import build_liquid_kernels, default_window
-from .model import (
-    LayerConfig,
-    ModelStack,
-    SequenceClassifier,
-    SyntheticTask,
-    train_demo,
-)
+from .model import TASK_NAMES, LayerConfig, ModelStack, SequenceClassifier, SyntheticTask, train_demo
 from .pipeline import feature_systems, forward_liquid_s4
 from .ssm import DplrSystem, discretize_bilinear, hippo_legs, init_dt_schedule, nplr_decompose
 from .verify import run_suite
@@ -59,6 +57,10 @@ class RunConfig:
     def validate(self):
         if not all(math.isfinite(v) for v in (self.dt_max, self.lr, self.dt_min or 1.0)):
             raise errors.ConfigError("dt_min, dt_max and lr must be finite")
+        if self.seed < 0:
+            raise errors.ConfigError(f"invalid seed: {self.seed}")
+        if self.epochs < 0:
+            raise errors.ConfigError(f"invalid epoch count: {self.epochs}")
         if self.state < 1:
             raise errors.ConfigError(f"invalid dimension: state={self.state}")
         if self.length < 1:
@@ -67,7 +69,7 @@ class RunConfig:
             raise errors.ConfigError(f"invalid feature count: {self.features}")
         if self.mode not in ("kb", "pb", "none"):
             raise errors.ConfigError(f"invalid mode: {self.mode!r}")
-        if self.mode != "none" and not 2 <= self.order <= 10:
+        if not 2 <= self.order <= 10:
             raise errors.ConfigError(f"invalid liquid order: {self.order}")
         if self.window is not None and self.window < 1:
             raise errors.ConfigError(f"invalid window: {self.window}")
@@ -79,7 +81,8 @@ class RunConfig:
             raise errors.ConfigError(f"invalid depth: {self.depth}")
 
     def resolved_window(self) -> int:
-        return self.window if self.window is not None else default_window(self.length)
+        """The liquid window, never longer than the sequence."""
+        return min(self.window if self.window is not None else default_window(self.length), self.length)
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
@@ -218,7 +221,7 @@ def cmd_convolve(args) -> int:
         raise errors.ConfigError(f"--out {args.out}: {exc}") from exc
     cfg = replace(cfg, length=length, features=h)
     cfg.validate()
-    window = min(cfg.resolved_window(), length)
+    window = cfg.resolved_window()
     out = np.empty_like(values)
     for i, (sys_, dt) in enumerate(_systems(cfg, h, length)):
         out[:, :, i] = forward_liquid_s4(sys_, dt, values[:, :, i], cfg.mode, cfg.order, window)
@@ -262,15 +265,12 @@ def cmd_bench(args) -> int:
     (sys_, dt), = _systems(cfg, 1, BENCH_LENGTHS[0])
     report = bench_kernel(sys_, dt, list(BENCH_LENGTHS), repeats=3)
     window = cfg.window if cfg.window is not None else 256
-    order = cfg.order if cfg.mode != "none" else 3
-    liquid_times = []
-    for l in BENCH_LENGTHS:
-        best = np.inf
-        for _ in range(5):
-            t0 = time.perf_counter()
-            build_liquid_kernels(sys_, dt, "kb", order, window)
-            best = min(best, time.perf_counter() - t0)
-        liquid_times.append(best)
+    # the window stays fixed while the sweep length grows: one warm-up call,
+    # then round-robin passes, so host noise lands on every sweep point alike
+    build = partial(build_liquid_kernels, sys_, dt, "kb", cfg.order, window)
+    build()
+    liquid_times = _best_of([build] * len(BENCH_LENGTHS), 15)
+    for l, best in zip(BENCH_LENGTHS, liquid_times):
         report["records"].append(
             {"path": "liquid_kb", "L": int(l), "N": int(cfg.state), "millis": 1e3 * best}
         )
@@ -286,7 +286,7 @@ def cmd_bench(args) -> int:
         "summary": {
             "lengths": summary["lengths"],
             "liquid_window": window,
-            "liquid_max_order": order,
+            "liquid_max_order": cfg.order,
             "max_rel_disagreement": summary["max_rel_disagreement"],
         },
         # measured values all live under timing_ms (excluded from the
@@ -310,7 +310,7 @@ def cmd_train_demo(args) -> int:
         state_size=cfg.state,
         mode=cfg.mode,
         max_order=cfg.order if cfg.mode != "none" else 2,
-        window=min(cfg.resolved_window(), cfg.length),
+        window=cfg.resolved_window(),
         dt_min=cfg.dt_min,
         dt_max=cfg.dt_max,
     )
@@ -327,60 +327,57 @@ def cmd_train_demo(args) -> int:
     return 0
 
 
+# argparse keyword arguments of every flag; each command takes the ones it reads
+FLAGS = {
+    "config": {"help": "JSON file of flat RunConfig keys, shared by every command"},
+    "seed": {"type": int, "help": "RNG seed"},
+    "mode": {"choices": ["kb", "pb", "none"], "help": "liquid kernel mode"},
+    "order": {"type": int, "help": "maximum liquid order P"},
+    "window": {"type": int, "help": "liquid kernel window length"},
+    "length": {"type": int, "help": "sequence length L"},
+    "state": {"type": int, "help": "state size N"},
+    "features": {"type": int, "help": "feature count H"},
+    "depth": {"type": int, "help": "number of model layers"},
+    "classes": {"type": int, "help": "number of task classes"},
+    "epochs": {"type": int, "help": "training epochs"},
+    "n-train": {"type": int, "help": "training set size"},
+    "lr": {"type": float, "help": "learning rate"},
+    "task": {"choices": TASK_NAMES, "help": "synthetic task"},
+    "out": {"help": "output path (stdout when omitted)"},
+}
+
+# (name, handler, help, flags read)
+COMMANDS = (
+    ("hippo", cmd_hippo, "emit the LegS matrix and its DPLR decomposition",
+     ("config", "seed", "state", "out")),
+    ("kernel", cmd_kernel, "generate main and liquid kernel taps",
+     ("config", "seed", "mode", "order", "window", "length", "state", "out")),
+    ("convolve", cmd_convolve, "run sequences from a file through the forward path",
+     ("config", "seed", "mode", "order", "window", "state", "out")),
+    ("verify", cmd_verify, "run the full invariant suite", ("config", "seed", "out")),
+    ("bench", cmd_bench, "time kernel generation across a length sweep",
+     ("config", "seed", "order", "window", "state", "out")),
+    ("train-demo", cmd_train_demo, "finite-difference training demonstration",
+     ("config", "seed", "mode", "order", "window", "length", "state", "features", "depth",
+      "classes", "epochs", "n-train", "lr", "task", "out")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liquid-ssm",
         description="Liquid state-space kernel toolkit: generation, convolution, verification, benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser):
-        p.add_argument("--config", help="JSON file of flat RunConfig keys")
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--mode", choices=["kb", "pb", "none"], help="liquid kernel mode")
-        p.add_argument("--order", type=int, help="maximum liquid order P")
-        p.add_argument("--window", type=int, help="liquid kernel window length")
-        p.add_argument("--length", type=int, help="sequence length L")
-        p.add_argument("--state", type=int, help="state size N")
-        p.add_argument("--features", type=int, help="feature count H")
-        p.add_argument("--out", help="output path (stdout when omitted)")
-
-    p = sub.add_parser("hippo", help="emit the LegS matrix and its DPLR decomposition")
-    add_common(p)
-    p.set_defaults(func=cmd_hippo)
-
-    p = sub.add_parser("kernel", help="generate main and liquid kernel taps")
-    add_common(p)
-    p.add_argument("--verify", action="store_true", help="cross-check against the naive path")
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("convolve", help="run sequences from a file through the forward path")
-    add_common(p)
-    p.add_argument("input", help="sequence file (.csv or binary)")
-    p.set_defaults(func=cmd_convolve)
-
-    p = sub.add_parser("verify", help="run the full invariant suite")
-    add_common(p)
-    p.add_argument("--poison", action="store_true", help="inject a fault (self-test)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time kernel generation across a length sweep")
-    add_common(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("train-demo", help="finite-difference training demonstration")
-    add_common(p)
-    for name, typ in (
-        ("depth", int),
-        ("classes", int),
-        ("epochs", int),
-        ("n-train", int),
-    ):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=typ)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--task", choices=["adjacent-product-sign", "impulse-memory"])
-    p.set_defaults(func=cmd_train_demo)
-
+    commands = {}
+    for name, func, help_text, flags in COMMANDS:
+        commands[name] = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            commands[name].add_argument(f"--{flag}", **FLAGS[flag])
+        commands[name].set_defaults(func=func)
+    commands["kernel"].add_argument("--verify", action="store_true", help="cross-check against the naive path")
+    commands["convolve"].add_argument("input", help="sequence file (.csv or binary)")
+    commands["verify"].add_argument("--poison", action="store_true", help="inject a fault (self-test)")
     return parser
 
 
@@ -395,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except errors.LiquidSsmError as exc:
+    except (errors.LiquidSsmError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

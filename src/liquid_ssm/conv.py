@@ -32,18 +32,6 @@ class SequenceBatch:
             raise DimensionError("non-finite sequence values")
         object.__setattr__(self, "values", v)
 
-    @property
-    def batch(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def features(self) -> int:
-        return self.values.shape[2]
-
 
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n (and >= 1)."""

@@ -4,16 +4,19 @@ generating-function path.
 The naive path materializes taps[i] = <c_bar, a_bar^i b_bar> one structured
 matrix-vector product at a time and serves as the oracle. The fast path
 evaluates the truncated generating function at the unit roots of a frequency
-grid through black-box Cauchy dots plus a rank-1 Woodbury combination, then
-recovers the taps with an inverse transform. The two must agree to 1e-8
-relative L-infinity on any stable system.
+grid through four Cauchy-kernel contractions over the whole grid plus a
+rank-1 Woodbury combination, then recovers the taps with an inverse
+transform. The two must agree to 1e-8 relative L-infinity on any stable
+system. ``bench_kernel`` times both paths with ``_best_of``, the one
+round-robin timer of the package.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,9 +43,6 @@ class Kernel:
         if t.ndim != 1 or not np.all(np.isfinite(t)):
             raise DimensionError("taps must be a finite 1-D sequence")
         object.__setattr__(self, "taps", t)
-
-    def __len__(self) -> int:
-        return self.taps.shape[0]
 
 
 def unit_roots(l: int) -> np.ndarray:
@@ -90,21 +90,13 @@ def truncate_generating_c(d: DiscreteSystem, l: int) -> np.ndarray:
     return m.conj().T @ d.c_bar
 
 
-def cauchy_dot(v: np.ndarray, w: np.ndarray, z: complex, lam: np.ndarray) -> complex:
-    """Single Cauchy-kernel contraction sum_n conj(v_n) w_n / (z - lam_n).
+def _cauchy_grid(v: np.ndarray, w: np.ndarray, nodes: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Cauchy-kernel contractions sum_n conj(v_n) w_n / (z - lam_n) at each node z.
 
-    numpy's pairwise reduction keeps the summation error well under the 1e-8
+    The caller rejects nodes within ``POLE_TOLERANCE`` of a pole. numpy's
+    pairwise reduction keeps the summation error well under the 1e-8
     acceptance bar for N up to a few hundred.
     """
-    lam = np.asarray(lam, dtype=complex)
-    den = z - lam
-    if np.any(np.abs(den) < POLE_TOLERANCE):
-        raise PoleError(f"evaluation point {z} coincides with a pole")
-    return complex(np.sum(np.conj(v) * np.asarray(w, dtype=complex) / den))
-
-
-def _cauchy_grid(v: np.ndarray, w: np.ndarray, nodes: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Vectorized ``cauchy_dot`` over a 1-D array of evaluation points."""
     return np.sum(np.conj(v) * w / (nodes[:, None] - lam[None, :]), axis=1)
 
 
@@ -160,6 +152,21 @@ def kernel_genfn(sys: DplrSystem, dt: float, l: int) -> Kernel:
     return Kernel(taps=taps.real, residual_imag=float(np.max(np.abs(taps.imag))))
 
 
+def _best_of(calls: list[Callable[[], object]], rounds: int) -> list[float]:
+    """Best wall time in seconds of each call over ``rounds`` round-robin passes.
+
+    Every pass runs each call once, so a slow spell of the host lands on all
+    calls alike instead of on the one that happened to be running.
+    """
+    best = [np.inf] * len(calls)
+    for _ in range(rounds):
+        for i, call in enumerate(calls):
+            t0 = time.perf_counter()
+            call()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
 def bench_kernel(
     sys: DplrSystem,
     dt: float,
@@ -168,32 +175,24 @@ def bench_kernel(
 ) -> dict:
     """Time the naive and generating-function paths over a length sweep.
 
-    Returns a report with one record per (path, L) pair -- fields
+    The agreement check runs first and doubles as the warm-up; then
+    ``_best_of`` takes ``repeats`` round-robin passes over every (path, L)
+    pair. Returns a report with one record per (path, L) pair -- fields
     ``path, L, N, millis`` -- plus a summary holding the fitted log-log
     growth exponent per path and the worst cross-path disagreement.
     """
     if not l_list:
         raise DimensionError("l_list must be nonempty")
-    records = []
-    agreement = 0.0
-    times: dict[str, list[float]] = {"naive": [], "genfn": []}
     d = discretize_bilinear(sys, dt)
-    for l in l_list:
-        naive = genfn = None
-        for path in ("naive", "genfn"):
-            best = np.inf
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                if path == "naive":
-                    naive = kernel_naive(d, l)
-                else:
-                    genfn = kernel_genfn(sys, dt, l)
-                best = min(best, time.perf_counter() - t0)
-            times[path].append(best)
-            records.append(
-                {"path": path, "L": int(l), "N": int(sys.n), "millis": 1e3 * best}
-            )
-        agreement = max(agreement, _rel_linf(genfn.taps, naive.taps))
+    agreement = max(_rel_linf(kernel_genfn(sys, dt, l).taps, kernel_naive(d, l).taps) for l in l_list)
+    paths = {"naive": partial(kernel_naive, d), "genfn": partial(kernel_genfn, sys, dt)}
+    pairs = [(path, l) for l in l_list for path in paths]
+    best = _best_of([partial(paths[path], l) for path, l in pairs], repeats)
+    records = [
+        {"path": path, "L": int(l), "N": int(sys.n), "millis": 1e3 * t}
+        for (path, l), t in zip(pairs, best)
+    ]
+    times = {path: best[i :: len(paths)] for i, path in enumerate(paths)}
     summary = {
         "lengths": [int(l) for l in l_list],
         "state_size": int(sys.n),
@@ -201,7 +200,7 @@ def bench_kernel(
     }
     if len(l_list) >= 2:
         logl = np.log(np.asarray(l_list, dtype=float))
-        for path in ("naive", "genfn"):
-            slope = np.polyfit(logl, np.log(np.maximum(times[path], 1e-9)), 1)[0]
+        for path, t in times.items():
+            slope = np.polyfit(logl, np.log(np.maximum(t, 1e-9)), 1)[0]
             summary[f"{path}_growth_exponent"] = float(slope)
     return {"records": records, "summary": summary}

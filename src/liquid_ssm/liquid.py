@@ -113,12 +113,6 @@ def liquid_kernel_kb(
     raise DimensionError(f"unknown ordering {ordering!r}")
 
 
-def liquid_kernel_pb(sys: DplrSystem, dt: float, p: int, window: int) -> np.ndarray:
-    """Order-p PB liquid kernel: constant taps kappa_p = <c_bar, b_bar ** p>."""
-    _check_liquid_args(p, window)
-    return _pb_taps_discrete(discretize_bilinear(sys, dt), p, window).real
-
-
 def build_liquid_kernels(
     sys: DplrSystem, dt: float, mode: str, max_order: int, window: int
 ) -> LiquidKernelSet:

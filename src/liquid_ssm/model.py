@@ -1,10 +1,13 @@
 """Toy-scale stacked sequence classifier and a finite-difference training demo.
 
 The network is the smallest block that exercises the liquid mechanism inside
-a model: per-feature SSM convolution (main kernel plus optional liquid
-contribution, summed pre-nonlinearity), pointwise GELU, residual connection,
-mean pooling over time, linear readout. Training uses central finite
-differences over a deliberately tiny parameter vector; no autodiff.
+a model. Each layer maps x to x + gelu(main + liquid): the per-feature SSM
+convolution and the optional liquid contribution are summed before the
+nonlinearity, and a residual connection carries x around it. There is no
+normalization, so features never mix before the mean pooling over time and
+the linear readout. Training uses central finite differences (step
+``FD_STEP``, momentum ``MOMENTUM``) over a deliberately tiny parameter
+vector; no autodiff.
 
 Trainable parameters: the 1 -> H input lift, the per-layer per-feature
 complex output maps, per-path gains, and the readout. The
@@ -38,6 +41,8 @@ from .ssm import discretize_bilinear, init_dt_schedule
 
 TASK_NAMES = ("adjacent-product-sign", "impulse-memory")
 PARAM_BUDGET = 2000
+MOMENTUM = 0.9
+FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -49,10 +54,6 @@ class LayerConfig:
     mode: str = "none"  # kb | pb | none
     max_order: int = 2
     window: int = 8
-    norm: str = "none"  # batch | layer | none
-    prenorm: bool = False
-    activation: str = "gelu"  # gelu | identity
-    residual: bool = True
     dt_min: float | None = None
     dt_max: float = 0.2
 
@@ -63,10 +64,6 @@ class LayerConfig:
             raise DimensionError(f"unknown mode {self.mode!r}")
         if self.mode != "none" and not 2 <= self.max_order <= 10:
             raise DimensionError("liquid order must lie in 2..10")
-        if self.norm not in ("batch", "layer", "none"):
-            raise DimensionError(f"unknown norm {self.norm!r}")
-        if self.activation not in ("gelu", "identity"):
-            raise DimensionError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,6 @@ class SyntheticTask:
 
     name: str = "adjacent-product-sign"
     length: int = 32
-    noise: float = 0.0
     n_classes: int = 2
 
     def __post_init__(self):
@@ -132,8 +128,8 @@ def generate_task(task: SyntheticTask, n: int, seed: int) -> tuple[SequenceBatch
     summed lag-1 product sum_k u_k u_{k+1} is positive. The Bayes statistic is
     exactly an order-2 consecutive correlation.
 
-    impulse-memory: a single unit impulse whose position bucket is the label,
-    plus optional background noise.
+    impulse-memory: a single unit impulse on a zero background, whose position
+    bucket is the label.
     """
     if n < 2:
         raise DimensionError("need at least two samples")
@@ -155,8 +151,8 @@ def generate_task(task: SyntheticTask, n: int, seed: int) -> tuple[SequenceBatch
         raise DimensionError("sequence too short for the class count")
     offsets = rng.integers(0, bucket, size=n)
     positions = labels * bucket + offsets
-    u = task.noise * rng.standard_normal((n, l))
-    u[np.arange(n), positions] += 1.0
+    u = np.zeros((n, l))
+    u[np.arange(n), positions] = 1.0
     return SequenceBatch(u[:, :, None]), labels
 
 
@@ -244,15 +240,6 @@ class SequenceClassifier:
             liquid += causal_conv(self._unit(ltaps), correlation_signal(x, p)) * lgain[:, None]
         return main, liquid
 
-    def _normalize(self, x: np.ndarray, kind: str) -> np.ndarray:
-        if kind == "batch":
-            m = x.mean(axis=(0, 2), keepdims=True)
-            v = x.var(axis=(0, 2), keepdims=True)
-        else:  # layer
-            m = x.mean(axis=1, keepdims=True)
-            v = x.var(axis=1, keepdims=True)
-        return (x - m) / np.sqrt(v + 1e-5)
-
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Logits for a batch of raw sequences u (n, L)."""
         u = np.asarray(u, dtype=float)
@@ -261,14 +248,9 @@ class SequenceClassifier:
                 f"expected (n, {self.seq_length}) inputs, got {u.shape}"
             )
         x = u[:, None, :] * self.params["lift_w"][:, None] + self.params["lift_b"][:, None]
-        for li, layer in enumerate(self.stack.layers):
-            z_in = self._normalize(x, layer.norm) if layer.prenorm and layer.norm != "none" else x
-            main, liquid = self.layer_contributions(li, z_in)
-            z = main + liquid
-            a = gelu(z) if layer.activation == "gelu" else z
-            x = x + a if layer.residual else a
-            if layer.norm != "none" and not layer.prenorm:
-                x = self._normalize(x, layer.norm)
+        for li in range(self.stack.depth):
+            main, liquid = self.layer_contributions(li, x)
+            x = x + gelu(main + liquid)
         pooled = x.mean(axis=2)
         return pooled @ self.params["readout_w"] + self.params["readout_b"]
 
@@ -303,20 +285,17 @@ def train_demo(
     lr: float,
     seed: int,
     n_train: int = 200,
-    momentum: float = 0.9,
-    fd_step: float = 1e-4,
-    budget: int = PARAM_BUDGET,
 ) -> dict:
     """Train by central finite differences with a plain momentum update.
 
-    Refuses models over the parameter budget. Deterministic under a fixed
+    Refuses models over ``PARAM_BUDGET`` parameters. Deterministic under a fixed
     seed: the dataset, the probe order, and the update rule contain no other
     randomness, and the forward pass has none. Returns a report with
     per-epoch loss/accuracy, final metrics, the seed, and a configuration
     echo.
     """
-    if model.param_count > budget:
-        raise ParameterBudgetError(model.param_count, budget)
+    if model.param_count > PARAM_BUDGET:
+        raise ParameterBudgetError(model.param_count, PARAM_BUDGET)
     batch, labels = generate_task(task, n_train, seed)
     u = batch.values[:, :, 0]
 
@@ -332,8 +311,8 @@ def train_demo(
         loss, acc = model.loss_and_accuracy(u, labels)
         losses.append(loss)
         accuracies.append(acc)
-        grad = finite_difference_gradient(objective, theta, rel_step=fd_step)
-        velocity = momentum * velocity - lr * grad
+        grad = finite_difference_gradient(objective, theta, rel_step=FD_STEP)
+        velocity = MOMENTUM * velocity - lr * grad
         theta = theta + velocity
     model.set_param_vector(theta)
     final_loss, final_acc = model.loss_and_accuracy(u, labels)

@@ -8,6 +8,7 @@ lr=0.15, 180 epochs, 200 training sequences.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from liquid_ssm.model import (
     SyntheticTask,
     train_demo,
 )
-from liquid_ssm.kernel import bench_kernel
+from liquid_ssm.kernel import _best_of, bench_kernel
 from liquid_ssm.pipeline import forward_liquid_s4
 from liquid_ssm.ssm import (
     DiscreteSystem,
@@ -198,13 +199,9 @@ def test_criterion_6_complexity_shape():
     # window stays fixed while the sweep length grows; one warm-up call, then
     # best of 15 per sweep point taken round-robin, so a slow spell of the
     # host lands on every point instead of one
-    build_liquid_kernels(sys_, 0.01, "kb", 3, 256)
-    liquid_times = [np.inf] * len(lengths)
-    for _ in range(15):
-        for i in range(len(lengths)):
-            t1 = time.perf_counter()
-            build_liquid_kernels(sys_, 0.01, "kb", 3, 256)
-            liquid_times[i] = min(liquid_times[i], time.perf_counter() - t1)
+    build = partial(build_liquid_kernels, sys_, 0.01, "kb", 3, 256)
+    build()
+    liquid_times = _best_of([build] * len(lengths), 15)
     ratio = max(liquid_times) / min(liquid_times)
     wall = time.perf_counter() - t0
     ok = exponent <= 1.4 and ratio <= 1.5 and wall < 300.0

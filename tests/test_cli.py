@@ -62,6 +62,18 @@ class TestKernelCommand:
         doc = json.loads(out.read_text())
         assert sorted(doc["liquid"]["orders"]) == ["2", "3"]
 
+    def test_window_capped_at_length(self, tmp_path):
+        out = tmp_path / "k.json"
+        assert run(["kernel", "--length", "16", "--window", "64", "--mode", "kb", "--out", str(out)]) == 0
+        liquid = json.loads(out.read_text())["liquid"]
+        assert liquid["window"] == 16
+        assert [len(t) for t in liquid["orders"].values()] == [16, 16]
+
+    def test_oversized_length_exit_2(self, capsys):
+        # 2**50 taps need petabytes, more than any 47-bit address space holds
+        assert run(["kernel", "--length", str(2**50), "--state", "4", "--mode", "none"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_verify_flag_exit_0(self, tmp_path):
         out = tmp_path / "k.json"
         assert run(["kernel", "--length", "128", "--state", "16", "--verify", "--out", str(out)]) == 0
@@ -253,6 +265,13 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"mode": "wet"}))
         assert run(["kernel", "--config", str(cfg)]) == 2
 
+    def test_order_range_checked_in_every_mode(self, tmp_path, capsys):
+        # bench times KB taps at the configured order whatever the mode
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "none", "order": 40}))
+        assert run(["bench", "--config", str(cfg)]) == 2
+        assert "invalid liquid order" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -273,6 +292,14 @@ class TestConfigHandling:
         assert run(["kernel", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["kernel", "--seed", "-1"], ["verify", "--seed", "-1"], ["train-demo", "--epochs", "-3"]],
+    )
+    def test_negative_seed_or_epochs_exit_2(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path / "o.json")]) == 2
+        assert "error: invalid" in capsys.readouterr().err
+
     def test_determinism_excluding_timing(self, tmp_path):
         docs = []
         for name in ("a.json", "b.json"):
@@ -280,3 +307,20 @@ class TestConfigHandling:
             assert run(["kernel", "--mode", "pb", "--length", "32", "--seed", "7", "--verify", "--out", str(out)]) == 0
             docs.append(scrub_timing(json.loads(out.read_text())))
         assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+
+
+UNREAD_FLAGS = (
+    [("hippo", f) for f in ("mode", "order", "window", "length", "features")]
+    + [("kernel", "features"), ("convolve", "length"), ("convolve", "features")]
+    + [("verify", f) for f in ("state", "mode", "order", "window", "length", "features")]
+    + [("bench", f) for f in ("mode", "length", "features")]
+)
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_flag_the_command_does_not_read_is_rejected(command, flag, capsys):
+    argv = [command] + (["in.lsq4"] if command == "convolve" else [])
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [f"--{flag}", "kb" if flag == "mode" else "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

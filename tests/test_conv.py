@@ -103,10 +103,6 @@ class TestRecurrentS4:
 
 
 class TestSequenceBatch:
-    def test_shape_properties(self):
-        batch = SequenceBatch(np.zeros((2, 5, 3)))
-        assert (batch.batch, batch.length, batch.features) == (2, 5, 3)
-
     def test_rejects_bad_rank(self):
         with pytest.raises(DimensionError):
             SequenceBatch(np.zeros((2, 5)))

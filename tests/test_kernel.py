@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from liquid_ssm.errors import DimensionError, PoleError
+from liquid_ssm.errors import DimensionError
 from liquid_ssm.kernel import (
     bench_kernel,
-    cauchy_dot,
     kernel_genfn,
     kernel_naive,
     truncate_generating_c,
@@ -52,29 +51,6 @@ class TestTruncateGeneratingC:
             ct = truncate_generating_c(d, l)
             bound = np.linalg.norm(np.linalg.matrix_power(d.a_bar, l), 2) * np.linalg.norm(d.c_bar)
             assert np.linalg.norm(ct - d.c_bar) <= bound + 1e-12
-
-
-class TestCauchyDot:
-    def test_single_term(self):
-        assert cauchy_dot(np.array([1.0 + 0j]), np.array([1.0 + 0j]), 2.0, np.array([0.0 + 0j])) == pytest.approx(0.5)
-
-    def test_two_terms_cancel(self):
-        v = np.array([1.0 + 0j, 1.0 + 0j])
-        lam = np.array([1.0 + 0j, -1.0 + 0j])
-        assert cauchy_dot(v, v, 0.0, lam) == pytest.approx(0.0)
-
-    def test_conjugate_symmetric_real(self):
-        rng = np.random.default_rng(0)
-        half = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v = np.concatenate([half, half.conj()])
-        lamh = -np.abs(rng.normal(size=4)) + 1j * rng.normal(size=4)
-        lam = np.concatenate([lamh, lamh.conj()])
-        out = cauchy_dot(v, v, 3.0, lam)
-        assert abs(out.imag) < 1e-12
-
-    def test_pole_error(self):
-        with pytest.raises(PoleError):
-            cauchy_dot(np.array([1.0 + 0j]), np.array([1.0 + 0j]), 1.0 + 0j, np.array([1.0 + 0j]))
 
 
 class TestUnitRoots:

@@ -11,7 +11,6 @@ from liquid_ssm.liquid import (
     default_window,
     liquid_expansion_oracle,
     liquid_kernel_kb,
-    liquid_kernel_pb,
     liquid_oracle,
     recurrent_liquid,
 )
@@ -113,7 +112,7 @@ class TestPbKernel:
 
     def test_window_one(self):
         sys = nplr_decompose(3, seed=0)
-        taps = liquid_kernel_pb(sys, 0.1, 2, 1)
+        taps = build_liquid_kernels(sys, 0.1, "pb", 2, 1).order_taps(2)
         assert taps.shape == (1,)
 
     def test_orthogonal_output_map(self):

@@ -24,8 +24,8 @@ def window_products(u, p):
     return np.concatenate([np.zeros(p - 1), np.prod([u[j : len(u) - p + 1 + j] for j in range(p)], axis=0)])
 
 
-def small_stack(mode="none", features=4, state=4, **kwargs):
-    layer = LayerConfig(features=features, state_size=state, mode=mode, max_order=2, window=8, **kwargs)
+def small_stack(mode="none", features=4, state=4):
+    layer = LayerConfig(features=features, state_size=state, mode=mode, max_order=2, window=8)
     return ModelStack(layers=(layer,))
 
 
@@ -65,11 +65,9 @@ class TestGenerateTask:
 
 class TestForward:
     def test_linear_single_layer_equals_pooled_recurrence(self):
-        # identity activation, no residual, unit lift, identity readout:
-        # logits must reduce to the pooled recurrent outputs per feature
-        layer = LayerConfig(
-            features=2, state_size=3, mode="none", activation="identity", residual=False
-        )
+        # unit lift, identity readout: logits must reduce to the pooled
+        # residual plus GELU of the recurrent outputs per feature
+        layer = LayerConfig(features=2, state_size=3, mode="none")
         stack = ModelStack(layers=(layer,), n_classes=2)
         model = SequenceClassifier(stack, seq_length=16, seed=0)
         model.params["lift_w"] = np.ones(2)
@@ -90,7 +88,7 @@ class TestForward:
             taps = np.array([np.vdot(d.c_bar, np.linalg.matrix_power(d.a_bar, i) @ d.b_bar).real for i in range(16)])
             scale = np.linalg.norm(taps)
             for bi in range(5):
-                want = (recurrent_s4(d, u[bi]) / scale).mean()
+                want = (u[bi] + gelu(recurrent_s4(d, u[bi]) / scale)).mean()
                 assert logits[bi, h] == pytest.approx(want, rel=1e-8)
 
     def test_zero_input_zero_bias_gives_zero_logits(self):
@@ -127,13 +125,6 @@ class TestForward:
             assert np.max(np.abs(liquid)) < 1e6
             logits = model.forward(u)
             assert np.all(np.abs(logits) < 1e6)
-
-    def test_norm_options_run(self):
-        for norm, prenorm in (("batch", True), ("batch", False), ("layer", True)):
-            stack = small_stack("pb", norm=norm, prenorm=prenorm)
-            model = SequenceClassifier(stack, seq_length=16, seed=0)
-            out = model.forward(np.random.default_rng(0).normal(size=(4, 16)))
-            assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("mode", ["kb", "pb"])
     def test_layer_contributions_match_oracle_taps(self, mode):

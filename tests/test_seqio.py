@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from liquid_ssm.errors import SequenceParseError
 from liquid_ssm import seqio
@@ -17,7 +21,7 @@ class TestBinaryFormat:
     def test_header_layout(self, tmp_path):
         path = str(tmp_path / "seq.lsq4")
         seqio.write_sequences_binary(path, np.zeros((2, 3, 1)))
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert raw[:4] == b"LSQ4"
         assert len(raw) == 24 + 8 * 6
 
@@ -38,8 +42,8 @@ class TestBinaryFormat:
     def test_truncated_payload_offset(self, tmp_path):
         path = str(tmp_path / "trunc.lsq4")
         seqio.write_sequences_binary(path, np.zeros((1, 4, 1)))
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-8])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-8])
         with pytest.raises(SequenceParseError) as exc:
             seqio.read_sequences_binary(path)
         assert exc.value.offset == len(raw) - 8
@@ -85,6 +89,29 @@ class TestCsvFormat:
     def test_multi_feature_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             seqio.write_sequences_csv(str(tmp_path / "x.csv"), np.zeros((1, 4, 2)))
+
+
+# CSV-like text reaches the number, ragged-row and non-finite checks that
+# arbitrary bytes rarely get past; a valid magic does the same for LSQ4
+FUZZ_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet="0123456789.,-+e \nainf", max_size=200).map(str.encode),
+    st.binary(max_size=200).map(lambda tail: seqio.MAGIC + tail),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=FUZZ_BYTES, suffix=st.sampled_from([".lsq4", ".csv"]))
+    def test_random_bytes_parse_or_raise_parse_error(self, tmp_path, raw, suffix):
+        path = tmp_path / f"fuzz{suffix}"
+        path.write_bytes(raw)
+        try:
+            values = seqio.read_sequences(str(path))
+        except SequenceParseError:
+            return
+        assert values.ndim == 3 and values.dtype == float
+        assert np.all(np.isfinite(values))
 
 
 class TestDispatch:
