@@ -2,14 +2,7 @@
 kernel generation, input-correlation kernels, oracles, and a training demo."""
 
 from .conv import SequenceBatch, causal_conv, causal_conv_direct, causal_conv_fft, recurrent_s4
-from .kernel import (
-    Kernel,
-    bench_kernel,
-    kernel_genfn,
-    kernel_naive,
-    truncate_generating_c,
-    unit_roots,
-)
+from .kernel import Kernel, kernel_genfn, kernel_naive, truncate_generating_c
 from .liquid import (
     LiquidKernelSet,
     apply_liquid,
@@ -34,7 +27,6 @@ from .pipeline import feature_systems, forward_liquid_s4
 from .ssm import (
     DiscreteSystem,
     DplrSystem,
-    StepSizeSchedule,
     discretize_bilinear,
     hippo_legs,
     init_dt_schedule,
@@ -55,10 +47,8 @@ __all__ = [
     "ModelStack",
     "SequenceBatch",
     "SequenceClassifier",
-    "StepSizeSchedule",
     "SyntheticTask",
     "apply_liquid",
-    "bench_kernel",
     "build_liquid_kernels",
     "causal_conv",
     "causal_conv_direct",
@@ -84,7 +74,6 @@ __all__ = [
     "run_suite",
     "train_demo",
     "truncate_generating_c",
-    "unit_roots",
     "with_output_map",
     "woodbury_input_map",
 ]

@@ -17,16 +17,16 @@ import math
 import sys
 import time
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from . import errors, seqio
 from .kernel import _best_of, _rel_linf, bench_kernel, kernel_genfn, kernel_naive
-from .liquid import build_liquid_kernels, default_window
+from .liquid import MAX_ORDER, build_liquid_kernels, default_window
 from .model import TASK_NAMES, LayerConfig, ModelStack, SequenceClassifier, SyntheticTask, train_demo
-from .pipeline import feature_systems, forward_liquid_s4
+from .pipeline import MODES, feature_systems, forward_liquid_s4
 from .ssm import DplrSystem, discretize_bilinear, hippo_legs, init_dt_schedule, nplr_decompose
 from .verify import run_suite
 
@@ -61,15 +61,17 @@ class RunConfig:
             raise errors.ConfigError(f"invalid seed: {self.seed}")
         if self.epochs < 0:
             raise errors.ConfigError(f"invalid epoch count: {self.epochs}")
+        if self.lr < 0:
+            raise errors.ConfigError(f"invalid learning rate: {self.lr}")
         if self.state < 1:
             raise errors.ConfigError(f"invalid dimension: state={self.state}")
         if self.length < 1:
             raise errors.ConfigError(f"invalid length: {self.length}")
         if self.features < 1:
             raise errors.ConfigError(f"invalid feature count: {self.features}")
-        if self.mode not in ("kb", "pb", "none"):
+        if self.mode not in MODES:
             raise errors.ConfigError(f"invalid mode: {self.mode!r}")
-        if not 2 <= self.order <= 10:
+        if not 2 <= self.order <= MAX_ORDER:
             raise errors.ConfigError(f"invalid liquid order: {self.order}")
         if self.window is not None and self.window < 1:
             raise errors.ConfigError(f"invalid window: {self.window}")
@@ -135,8 +137,7 @@ def emit(document: dict, out_path: str | None):
         print(text)
 
 
-def cmd_hippo(args) -> int:
-    cfg = load_config(args)
+def cmd_hippo(cfg: RunConfig, args) -> int:
     a = hippo_legs(cfg.state)
     sys_ = nplr_decompose(cfg.state, seed=cfg.seed)
     rec = sys_.basis @ sys_.a_dense() @ sys_.basis.conj().T
@@ -162,12 +163,11 @@ def cmd_hippo(args) -> int:
 
 def _systems(cfg: RunConfig, h: int, length: int) -> list[tuple[DplrSystem, float]]:
     """The run's h per-feature systems, with steps drawn over the config's dt range."""
-    schedule = init_dt_schedule(h, cfg.dt_min, cfg.dt_max, cfg.seed, length)
-    return feature_systems(cfg.state, h, cfg.seed, schedule)
+    dts = init_dt_schedule(h, cfg.dt_min, cfg.dt_max, cfg.seed, length)
+    return feature_systems(cfg.state, h, cfg.seed, dts)
 
 
-def cmd_kernel(args) -> int:
-    cfg = load_config(args)
+def cmd_kernel(cfg: RunConfig, args) -> int:
     (sys_, dt), = _systems(cfg, 1, cfg.length)
     t0 = time.perf_counter()
     fast = kernel_genfn(sys_, dt, cfg.length)
@@ -209,8 +209,7 @@ def cmd_kernel(args) -> int:
     return status
 
 
-def cmd_convolve(args) -> int:
-    cfg = load_config(args)
+def cmd_convolve(cfg: RunConfig, args) -> int:
     if not args.out:
         raise errors.ConfigError("convolve requires --out PATH for the sequence output")
     values = seqio.read_sequences(args.input)
@@ -229,8 +228,7 @@ def cmd_convolve(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args)
+def cmd_verify(cfg: RunConfig, args) -> int:
     checks = run_suite(seed=cfg.seed, poison=args.poison)
     for chk in checks:
         flag = "PASS" if chk.passed else "FAIL"
@@ -239,15 +237,7 @@ def cmd_verify(args) -> int:
         "command": "verify",
         "seed": cfg.seed,
         "poison": bool(args.poison),
-        "checks": [
-            {
-                "name": c.name,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-            }
-            for c in checks
-        ],
+        "checks": [asdict(c) for c in checks],
         "max_residual": max(c.residual for c in checks),
         "passed": all(c.passed for c in checks),
     }
@@ -260,8 +250,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = load_config(args)
+def cmd_bench(cfg: RunConfig, args) -> int:
     (sys_, dt), = _systems(cfg, 1, BENCH_LENGTHS[0])
     report = bench_kernel(sys_, dt, list(BENCH_LENGTHS), repeats=3)
     window = cfg.window if cfg.window is not None else 256
@@ -303,8 +292,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_train_demo(args) -> int:
-    cfg = load_config(args)
+def cmd_train_demo(cfg: RunConfig, args) -> int:
     layer = LayerConfig(
         features=cfg.features,
         state_size=cfg.state,
@@ -331,7 +319,7 @@ def cmd_train_demo(args) -> int:
 FLAGS = {
     "config": {"help": "JSON file of flat RunConfig keys, shared by every command"},
     "seed": {"type": int, "help": "RNG seed"},
-    "mode": {"choices": ["kb", "pb", "none"], "help": "liquid kernel mode"},
+    "mode": {"choices": MODES, "help": "liquid kernel mode"},
     "order": {"type": int, "help": "maximum liquid order P"},
     "window": {"type": int, "help": "liquid kernel window length"},
     "length": {"type": int, "help": "sequence length L"},
@@ -385,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(load_config(args), args)
     except errors.SequenceParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -20,6 +20,7 @@ from functools import partial
 
 import numpy as np
 
+from .conv import next_pow2
 from .errors import DimensionError, PoleError, WoodburySingularError
 from .ssm import DiscreteSystem, DplrSystem, discretize_bilinear
 
@@ -143,7 +144,7 @@ def kernel_genfn(sys: DplrSystem, dt: float, l: int) -> Kernel:
         raise DimensionError(f"need l >= 1, got {l}")
     if not dt > 0:
         raise DimensionError(f"dt must be positive, got {dt}")
-    size = 1 << int(l - 1).bit_length() if l > 1 else 1
+    size = next_pow2(l)
     khat = _genfn_values(sys, dt, size)
     # Samples live at omega^{+i}, so the forward transform (scaled) inverts
     # the evaluation map.

@@ -9,6 +9,9 @@ the kernel carries a short window of taps. Two kernel modes exist:
 * PB: the KB kernel with the transition replaced by the identity, which
   collapses every tap to the constant kappa_p = <c_bar, b_bar ** p>.
 
+``build_liquid_kernels`` alone checks a mode, an order and a window; the
+``LiquidKernelSet`` it returns derives its maximum order and window from the taps.
+
 Brute-force companions (`liquid_oracle`, `liquid_expansion_oracle`) pin the
 semantics at desk scale.
 """
@@ -27,6 +30,7 @@ from .ssm import DiscreteSystem, DplrSystem, discretize_bilinear
 
 DEFAULT_WINDOW_DIVISOR = 64
 MIN_WINDOW = 8
+MAX_ORDER = 10  # highest liquid order a layer or a run may ask for
 
 
 def default_window(l: int) -> int:
@@ -36,21 +40,22 @@ def default_window(l: int) -> int:
 
 @dataclass(frozen=True)
 class LiquidKernelSet:
-    """Per-order liquid tap sequences (orders 2..max_order, each length window)."""
+    """Per-order liquid tap sequences: ``taps[p - 2]`` holds order p, each of length window."""
 
-    mode: str
-    max_order: int
-    window: int
     taps: tuple[np.ndarray, ...]
     residual_imag: float
 
     def __post_init__(self):
-        if self.mode not in ("kb", "pb"):
-            raise DimensionError(f"unknown liquid mode {self.mode!r}")
-        if self.max_order < 2:
-            raise DimensionError("max_order must be at least 2")
-        if len(self.taps) != self.max_order - 1:
-            raise DimensionError("need one tap sequence per order 2..max_order")
+        if not self.taps:
+            raise DimensionError("need the taps of at least one order")
+
+    @property
+    def max_order(self) -> int:
+        return len(self.taps) + 1
+
+    @property
+    def window(self) -> int:
+        return len(self.taps[0])
 
     def order_taps(self, p: int) -> np.ndarray:
         return self.taps[p - 2]
@@ -87,13 +92,6 @@ def _pb_taps_discrete(d: DiscreteSystem, p: int, window: int) -> np.ndarray:
     return np.full(window, kappa)
 
 
-def _check_liquid_args(p: int, window: int):
-    if p < 2:
-        raise DimensionError(f"invalid order p={p}; need p >= 2")
-    if window < 1:
-        raise DimensionError(f"need window >= 1, got {window}")
-
-
 def liquid_kernel_kb(
     sys: DplrSystem, dt: float, p: int, window: int, ordering: str = "lag"
 ) -> np.ndarray:
@@ -104,8 +102,7 @@ def liquid_kernel_kb(
     backward-identity flip (largest transition power first). The two are exact
     reverses of one another.
     """
-    _check_liquid_args(p, window)
-    taps = _kb_taps_discrete(discretize_bilinear(sys, dt), p, window).real
+    taps = build_liquid_kernels(sys, dt, "kb", p, window).order_taps(p)
     if ordering == "lag":
         return taps
     if ordering == "descending":
@@ -119,20 +116,15 @@ def build_liquid_kernels(
     """Assemble the per-order kernels for orders 2..max_order."""
     if mode not in ("kb", "pb"):
         raise DimensionError(f"unknown liquid mode {mode!r}")
-    _check_liquid_args(2, window)
     if max_order < 2:
         raise DimensionError("max_order must be at least 2")
+    if window < 1:
+        raise DimensionError(f"need window >= 1, got {window}")
     d = discretize_bilinear(sys, dt)
     compute = _kb_taps_discrete if mode == "kb" else _pb_taps_discrete
     complex_taps = [compute(d, p, window) for p in range(2, max_order + 1)]
     residual = max(float(np.max(np.abs(t.imag))) for t in complex_taps)
-    return LiquidKernelSet(
-        mode=mode,
-        max_order=max_order,
-        window=window,
-        taps=tuple(t.real for t in complex_taps),
-        residual_imag=residual,
-    )
+    return LiquidKernelSet(taps=tuple(t.real for t in complex_taps), residual_imag=residual)
 
 
 def apply_liquid(kset: LiquidKernelSet, u: np.ndarray) -> np.ndarray:

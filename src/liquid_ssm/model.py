@@ -35,8 +35,8 @@ import numpy as np
 from .conv import SequenceBatch, causal_conv
 from .errors import DimensionError, ParameterBudgetError
 from .kernel import _krylov
-from .liquid import correlation_signal
-from .pipeline import feature_systems
+from .liquid import MAX_ORDER, correlation_signal
+from .pipeline import MODES, feature_systems
 from .ssm import discretize_bilinear, init_dt_schedule
 
 TASK_NAMES = ("adjacent-product-sign", "impulse-memory")
@@ -51,7 +51,7 @@ class LayerConfig:
 
     features: int = 4
     state_size: int = 4
-    mode: str = "none"  # kb | pb | none
+    mode: str = "none"  # one of MODES
     max_order: int = 2
     window: int = 8
     dt_min: float | None = None
@@ -60,10 +60,10 @@ class LayerConfig:
     def __post_init__(self):
         if self.features < 1 or self.state_size < 1:
             raise DimensionError("features and state_size must be >= 1")
-        if self.mode not in ("kb", "pb", "none"):
+        if self.mode not in MODES:
             raise DimensionError(f"unknown mode {self.mode!r}")
-        if self.mode != "none" and not 2 <= self.max_order <= 10:
-            raise DimensionError("liquid order must lie in 2..10")
+        if self.mode != "none" and not 2 <= self.max_order <= MAX_ORDER:
+            raise DimensionError(f"liquid order must lie in 2..{MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,8 @@ class SequenceClassifier:
         self._liquid_bases: list[dict[int, np.ndarray]] = []  # order -> (H, N, window)
         c_init: list[np.ndarray] = []
         for li, layer in enumerate(stack.layers):
-            schedule = init_dt_schedule(h, layer.dt_min, layer.dt_max, seed * 1000 + li, seq_length)
-            bank = feature_systems(layer.state_size, h, seed * 1000 + 97 * li, schedule)
+            dts = init_dt_schedule(h, layer.dt_min, layer.dt_max, seed * 1000 + li, seq_length)
+            bank = feature_systems(layer.state_size, h, seed * 1000 + 97 * li, dts)
             ds = [discretize_bilinear(sys_, dt) for sys_, dt in bank]
             eye = np.eye(layer.state_size)
             orders = range(2, layer.max_order + 1) if layer.mode != "none" else ()

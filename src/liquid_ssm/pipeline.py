@@ -1,4 +1,7 @@
-"""End-to-end forward path: main kernel convolution plus liquid contribution."""
+"""End-to-end forward path: main kernel convolution plus liquid contribution.
+
+``MODES`` is the package's one list of liquid modes.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ from .conv import causal_conv
 from .errors import DimensionError
 from .kernel import kernel_genfn
 from .liquid import apply_liquid, build_liquid_kernels, default_window
-from .ssm import DplrSystem, StepSizeSchedule, init_dt_schedule, nplr_decompose, with_output_map
+from .ssm import DplrSystem, init_dt_schedule, nplr_decompose, with_output_map
 
 MODES = ("kb", "pb", "none")
 
@@ -34,27 +37,23 @@ def forward_liquid_s4(
     l = u.shape[-1]
     y = causal_conv(kernel_genfn(sys, dt, l).taps, u)
     if mode != "none":
-        if max_order < 2:
-            raise DimensionError("liquid modes need max_order >= 2")
         window = default_window(l) if window is None else window
         y = y + apply_liquid(build_liquid_kernels(sys, dt, mode, max_order, window), u)
     return y
 
 
 def feature_systems(
-    n: int, h: int, seed: int, schedule: StepSizeSchedule | None = None, seq_length: int | None = None
+    n: int, h: int, seed: int, dts: np.ndarray | None = None, seq_length: int | None = None
 ) -> list[tuple[DplrSystem, float]]:
     """One SISO system per feature: shared LegS core, per-feature output map and step.
 
     The h systems share the decomposed diagonal-plus-low-rank core; feature i
-    gets output-map seed ``seed + i`` and the i-th entry of the step schedule.
+    gets output-map seed ``seed + i`` and step ``dts[i]``. Without ``dts``
+    the steps are drawn by ``init_dt_schedule`` over its default range.
     """
     base = nplr_decompose(n, seed=seed)
-    if schedule is None:
-        schedule = init_dt_schedule(h, seed=seed, seq_length=seq_length)
-    if schedule.per_feature_dt.shape[0] != h:
-        raise DimensionError("schedule does not cover every feature")
-    return [
-        (with_output_map(base, seed + i), float(schedule.per_feature_dt[i]))
-        for i in range(h)
-    ]
+    if dts is None:
+        dts = init_dt_schedule(h, seed=seed, seq_length=seq_length)
+    if np.shape(dts) != (h,):
+        raise DimensionError("need one step per feature")
+    return [(with_output_map(base, seed + i), float(dts[i])) for i in range(h)]

@@ -1,8 +1,9 @@
 """Continuous-time state-space construction and discretization.
 
 Builds the HiPPO-LegS state matrix, its diagonal-plus-low-rank (DPLR)
-decomposition, the matching input/low-rank initialization vectors, and the
-bilinear (trapezoidal) discretization used by every downstream kernel path.
+decomposition, the matching input/low-rank initialization vectors, the
+bilinear (trapezoidal) discretization used by every downstream kernel path,
+and the per-feature steps, a plain (h,) array drawn by ``init_dt_schedule``.
 
 Conventions used throughout the package:
 
@@ -91,25 +92,6 @@ class DiscreteSystem:
     @property
     def n(self) -> int:
         return self.b_bar.shape[0]
-
-
-@dataclass(frozen=True)
-class StepSizeSchedule:
-    """Per-feature discretization steps, all inside [dt_min, dt_max]."""
-
-    dt_min: float
-    dt_max: float
-    per_feature_dt: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "per_feature_dt", np.asarray(self.per_feature_dt, dtype=float)
-        )
-        if not 0 < self.dt_min <= self.dt_max:
-            raise DimensionError("need 0 < dt_min <= dt_max")
-        d = self.per_feature_dt
-        if d.ndim != 1 or np.any(d < self.dt_min - 1e-15) or np.any(d > self.dt_max + 1e-15):
-            raise DimensionError("per-feature steps must lie in [dt_min, dt_max]")
 
 
 def hippo_legs(n: int) -> np.ndarray:
@@ -252,9 +234,10 @@ def init_dt_schedule(
     dt_max: float = DEFAULT_DT_MAX,
     seed: int = 0,
     seq_length: int | None = None,
-) -> StepSizeSchedule:
+) -> np.ndarray:
     """Draw one discretization step per feature, log-uniform in [dt_min, dt_max].
 
+    Returns the (h,) float array of steps, clipped into the range.
     ``dt_min`` defaults to 1/seq_length when a sequence length is supplied.
     Deterministic under a fixed seed.
     """
@@ -271,7 +254,5 @@ def init_dt_schedule(
         raise DimensionError(f"invalid range: dt_min={dt_min} > dt_max={dt_max}")
     rng = np.random.default_rng(seed)
     log_dt = rng.uniform(np.log(dt_min), np.log(dt_max), size=h)
-    per_feature = np.exp(log_dt)
-    # clip fp spill so the schedule invariant holds exactly at degenerate ranges
-    per_feature = np.clip(per_feature, dt_min, dt_max)
-    return StepSizeSchedule(dt_min=dt_min, dt_max=dt_max, per_feature_dt=per_feature)
+    # clip fp spill so every step lies in [dt_min, dt_max] even at degenerate ranges
+    return np.clip(np.exp(log_dt), dt_min, dt_max)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from liquid_ssm import seqio
+from liquid_ssm import cli, errors, seqio
 from liquid_ssm.cli import main
 from liquid_ssm.conv import recurrent_s4
 from liquid_ssm.liquid import default_window
@@ -300,6 +300,18 @@ class TestConfigHandling:
         assert run(argv + ["--out", str(tmp_path / "o.json")]) == 2
         assert "error: invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_lr_exit_2(self, tmp_path, capsys, source):
+        argv = ["train-demo", "--epochs", "1", "--n-train", "20", "--length", "8"]
+        if source == "flag":
+            argv += ["--lr", "-5"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"lr": -5.0}))
+            argv += ["--config", str(cfg)]
+        assert run(argv + ["--out", str(tmp_path / "o.json")]) == 2
+        assert "error: invalid learning rate" in capsys.readouterr().err
+
     def test_determinism_excluding_timing(self, tmp_path):
         docs = []
         for name in ("a.json", "b.json"):
@@ -307,6 +319,30 @@ class TestConfigHandling:
             assert run(["kernel", "--mode", "pb", "--length", "32", "--seed", "7", "--verify", "--out", str(out)]) == 0
             docs.append(scrub_timing(json.loads(out.read_text())))
         assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+
+
+def _error(cls):
+    """An instance of cls carrying one message, whatever its constructor takes."""
+    exc = cls.__new__(cls)
+    Exception.__init__(exc, "injected fault")
+    return exc
+
+
+@pytest.mark.parametrize(
+    "cls", errors.LiquidSsmError.__subclasses__() + [OSError, MemoryError], ids=lambda c: c.__name__
+)
+def test_every_error_class_has_its_exit_code(cls, monkeypatch, capsys):
+    def fail(n):
+        raise _error(cls)
+
+    monkeypatch.setattr(cli, "hippo_legs", fail)
+    io_error = cls is OSError or issubclass(cls, errors.SequenceParseError)
+    assert run(["hippo", "--state", "3"]) == (3 if io_error else 2)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # exactly one line on stderr, so no traceback
+    prefix = "I/O error: " if cls is OSError else "error: "
+    assert captured.err == prefix + "injected fault\n"
 
 
 UNREAD_FLAGS = (

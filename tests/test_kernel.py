@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liquid_ssm.errors import DimensionError
 from liquid_ssm.kernel import (
@@ -12,6 +13,9 @@ from liquid_ssm.kernel import (
 from liquid_ssm.ssm import DiscreteSystem, DplrSystem, discretize_bilinear, nplr_decompose, with_output_map
 
 from helpers import random_stable_system, rel_linf, scalar_discrete as scalar_system
+
+PROPERTY = settings(max_examples=25, deadline=None)
+
 
 
 class TestKernelNaive:
@@ -123,6 +127,21 @@ class TestKernelGenfn:
             sys = with_output_map(nplr_decompose(12, seed=0), seed)
             k = kernel_genfn(sys, 0.1, 128)
             assert k.residual_imag < 1e-6
+
+    @PROPERTY
+    @given(legs=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_naive_over_wide_range(self, legs, seed):
+        # criterion 2's bar with N, L and dt drawn log-uniform over [1, 512],
+        # [1, 4096] and [1e-4, 2]; the seed draws them so the spread is even
+        rng = np.random.default_rng(seed)
+        n, l = (int(round(np.exp(rng.uniform(0.0, np.log(hi))))) for hi in (512, 4096))
+        dt = float(np.exp(rng.uniform(np.log(1e-4), np.log(2.0))))
+        if legs:
+            sys = with_output_map(nplr_decompose(n), seed)
+        else:
+            sys = random_stable_system(np.random.default_rng(seed), n)
+        naive = kernel_naive(discretize_bilinear(sys, dt), l)
+        assert rel_linf(kernel_genfn(sys, dt, l).taps, naive.taps) < 1e-8
 
     def test_invalid_args(self):
         sys = nplr_decompose(2)

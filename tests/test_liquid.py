@@ -315,9 +315,6 @@ def kernel_set_from_discrete(d, mode, max_order, window):
 
     compute = kb_taps if mode == "kb" else pb_taps
     return LiquidKernelSet(
-        mode=mode,
-        max_order=max_order,
-        window=window,
         taps=tuple(compute(d, p, window) for p in range(2, max_order + 1)),
         residual_imag=0.0,
     )
@@ -330,6 +327,4 @@ def single_order_set(sys, order):
     taps = tuple(
         full.order_taps(p) if p == order else np.zeros(6) for p in range(2, order + 1)
     )
-    return LiquidKernelSet(
-        mode="kb", max_order=order, window=6, taps=taps, residual_imag=0.0
-    )
+    return LiquidKernelSet(taps=taps, residual_imag=0.0)

@@ -80,11 +80,11 @@ class TestForward:
         logits = model.forward(u)
 
         base = nplr_decompose(3, seed=0)
-        schedule = init_dt_schedule(2, dt_min=None, dt_max=0.2, seed=0, seq_length=16)
+        dts = init_dt_schedule(2, dt_min=None, dt_max=0.2, seed=0, seq_length=16)
         for h in range(2):
             sysh = with_output_map(base, 0 * 1000 + 97 * 0 + h)
             sysh = type(sysh)(lam=sysh.lam, p=sysh.p, b=sysh.b, c=sysh.c / np.sqrt(3), basis=sysh.basis)
-            d = discretize_bilinear(sysh, float(schedule.per_feature_dt[h]))
+            d = discretize_bilinear(sysh, float(dts[h]))
             taps = np.array([np.vdot(d.c_bar, np.linalg.matrix_power(d.a_bar, i) @ d.b_bar).real for i in range(16)])
             scale = np.linalg.norm(taps)
             for bi in range(5):

@@ -187,23 +187,23 @@ class TestDiscretizeBilinear:
 
 class TestStepSizeSchedule:
     def test_degenerate_range(self):
-        sched = init_dt_schedule(1, dt_min=0.1, dt_max=0.1)
-        assert sched.per_feature_dt == pytest.approx([0.1])
+        dts = init_dt_schedule(1, dt_min=0.1, dt_max=0.1)
+        assert dts == pytest.approx([0.1])
 
     def test_deterministic(self):
         a = init_dt_schedule(4, dt_min=1e-3, seed=11)
         b = init_dt_schedule(4, dt_min=1e-3, seed=11)
-        assert np.array_equal(a.per_feature_dt, b.per_feature_dt)
+        assert np.array_equal(a, b)
 
     def test_default_dt_min_from_length(self):
-        sched = init_dt_schedule(8, seq_length=2048)
-        assert sched.dt_min == pytest.approx(1.0 / 2048.0)
-        assert sched.dt_max == pytest.approx(0.2)
+        # the 1/L default draws exactly what an explicit dt_min = 1/L draws
+        dts = init_dt_schedule(8, seq_length=2048)
+        assert np.array_equal(dts, init_dt_schedule(8, dt_min=1.0 / 2048.0, dt_max=0.2))
 
     def test_within_bounds(self):
-        sched = init_dt_schedule(64, dt_min=1e-3, dt_max=0.2, seed=0)
-        assert np.all(sched.per_feature_dt >= 1e-3)
-        assert np.all(sched.per_feature_dt <= 0.2)
+        dts = init_dt_schedule(64, dt_min=1e-3, dt_max=0.2, seed=0)
+        assert np.all(dts >= 1e-3)
+        assert np.all(dts <= 0.2)
 
     def test_invalid_ranges(self):
         with pytest.raises(DimensionError):
