@@ -334,18 +334,18 @@ FLAGS = {
     "out": {"help": "output path (stdout when omitted)"},
 }
 
-# (name, handler, help, flags read)
+# (name, help, flags read); build_parser looks up the handler cmd_<name> on the module
 COMMANDS = (
-    ("hippo", cmd_hippo, "emit the LegS matrix and its DPLR decomposition",
+    ("hippo", "emit the LegS matrix and its DPLR decomposition",
      ("config", "seed", "state", "out")),
-    ("kernel", cmd_kernel, "generate main and liquid kernel taps",
+    ("kernel", "generate main and liquid kernel taps",
      ("config", "seed", "mode", "order", "window", "length", "state", "out")),
-    ("convolve", cmd_convolve, "run sequences from a file through the forward path",
+    ("convolve", "run sequences from a file through the forward path",
      ("config", "seed", "mode", "order", "window", "state", "out")),
-    ("verify", cmd_verify, "run the full invariant suite", ("config", "seed", "out")),
-    ("bench", cmd_bench, "time kernel generation across a length sweep",
+    ("verify", "run the full invariant suite", ("config", "seed", "out")),
+    ("bench", "time kernel generation across a length sweep",
      ("config", "seed", "order", "window", "state", "out")),
-    ("train-demo", cmd_train_demo, "finite-difference training demonstration",
+    ("train-demo", "finite-difference training demonstration",
      ("config", "seed", "mode", "order", "window", "length", "state", "features", "depth",
       "classes", "epochs", "n-train", "lr", "task", "out")),
 )
@@ -358,11 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, func, help_text, flags in COMMANDS:
+    for name, help_text, flags in COMMANDS:
         commands[name] = sub.add_parser(name, help=help_text)
         for flag in flags:
             commands[name].add_argument(f"--{flag}", **FLAGS[flag])
-        commands[name].set_defaults(func=func)
+        commands[name].set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     commands["kernel"].add_argument("--verify", action="store_true", help="cross-check against the naive path")
     commands["convolve"].add_argument("input", help="sequence file (.csv or binary)")
     commands["verify"].add_argument("--poison", action="store_true", help="inject a fault (self-test)")

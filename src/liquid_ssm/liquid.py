@@ -9,7 +9,8 @@ the kernel carries a short window of taps. Two kernel modes exist:
 * PB: the KB kernel with the transition replaced by the identity, which
   collapses every tap to the constant kappa_p = <c_bar, b_bar ** p>.
 
-``build_liquid_kernels`` alone checks a mode, an order and a window; the
+``build_liquid_kernels`` (through its core ``_liquid_kernels``, which takes a
+discretized system) alone checks a mode, an order and a window; the
 ``LiquidKernelSet`` it returns derives its maximum order and window from the taps.
 
 Brute-force companions (`liquid_oracle`, `liquid_expansion_oracle`) pin the
@@ -114,13 +115,17 @@ def build_liquid_kernels(
     sys: DplrSystem, dt: float, mode: str, max_order: int, window: int
 ) -> LiquidKernelSet:
     """Assemble the per-order kernels for orders 2..max_order."""
+    return _liquid_kernels(discretize_bilinear(sys, dt), mode, max_order, window)
+
+
+def _liquid_kernels(d: DiscreteSystem, mode: str, max_order: int, window: int) -> LiquidKernelSet:
+    """``build_liquid_kernels`` on the discretized system ``d``."""
     if mode not in ("kb", "pb"):
         raise DimensionError(f"unknown liquid mode {mode!r}")
     if max_order < 2:
         raise DimensionError("max_order must be at least 2")
     if window < 1:
         raise DimensionError(f"need window >= 1, got {window}")
-    d = discretize_bilinear(sys, dt)
     compute = _kb_taps_discrete if mode == "kb" else _pb_taps_discrete
     complex_taps = [compute(d, p, window) for p in range(2, max_order + 1)]
     residual = max(float(np.max(np.abs(t.imag))) for t in complex_taps)

@@ -9,9 +9,9 @@ import numpy as np
 
 from .conv import causal_conv
 from .errors import DimensionError
-from .kernel import kernel_genfn
-from .liquid import apply_liquid, build_liquid_kernels, default_window
-from .ssm import DplrSystem, init_dt_schedule, nplr_decompose, with_output_map
+from .kernel import _genfn_kernel
+from .liquid import _liquid_kernels, apply_liquid, default_window
+from .ssm import DplrSystem, discretize_bilinear, init_dt_schedule, nplr_decompose, with_output_map
 
 MODES = ("kb", "pb", "none")
 
@@ -29,16 +29,17 @@ def forward_liquid_s4(
     y = (main kernel) * u along the last axis of one sequence (L,) or a batch
     (..., L), plus the per-order liquid contribution when ``mode`` is ``'kb'``
     or ``'pb'``. With ``mode='none'`` this must agree with the recurrent
-    reference to 1e-8.
+    reference to 1e-8. The system is discretized once, for both kernels.
     """
     if mode not in MODES:
         raise DimensionError(f"unknown mode {mode!r}")
     u = np.asarray(u, dtype=float)
     l = u.shape[-1]
-    y = causal_conv(kernel_genfn(sys, dt, l).taps, u)
+    d = discretize_bilinear(sys, dt)
+    y = causal_conv(_genfn_kernel(sys, d, l).taps, u)
     if mode != "none":
         window = default_window(l) if window is None else window
-        y = y + apply_liquid(build_liquid_kernels(sys, dt, mode, max_order, window), u)
+        y = y + apply_liquid(_liquid_kernels(d, mode, max_order, window), u)
     return y
 
 

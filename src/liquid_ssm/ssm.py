@@ -51,8 +51,8 @@ class DplrSystem:
         for name in ("lam", "p", "b", "c"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
         n = self.lam.shape[0]
-        if any(getattr(self, name).shape != (n,) for name in ("p", "b", "c")):
-            raise DimensionError("lam, p, b, c must share one length")
+        if n == 0 or any(getattr(self, name).shape != (n,) for name in ("p", "b", "c")):
+            raise DimensionError("lam, p, b, c must share one nonzero length")
         for name in ("lam", "p", "b", "c"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DimensionError(f"non-finite entries in {name}")

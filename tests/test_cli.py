@@ -345,6 +345,14 @@ def test_every_error_class_has_its_exit_code(cls, monkeypatch, capsys):
     assert captured.err == prefix + "injected fault\n"
 
 
+def test_handler_looked_up_on_the_module(monkeypatch):
+    # a patched cmd_* (a tracer's wrapper, say) is the handler main calls
+    calls = []
+    monkeypatch.setattr(cli, "cmd_hippo", lambda cfg, args: calls.append(args.command) or 0)
+    assert main(["hippo"]) == 0
+    assert calls == ["hippo"]
+
+
 UNREAD_FLAGS = (
     [("hippo", f) for f in ("mode", "order", "window", "length", "features")]
     + [("kernel", "features"), ("convolve", "length"), ("convolve", "features")]

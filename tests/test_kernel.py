@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liquid_ssm.errors import DimensionError
+from liquid_ssm.errors import DimensionError, PoleError, WoodburySingularError
 from liquid_ssm.kernel import (
     bench_kernel,
     kernel_genfn,
@@ -143,12 +145,55 @@ class TestKernelGenfn:
         naive = kernel_naive(discretize_bilinear(sys, dt), l)
         assert rel_linf(kernel_genfn(sys, dt, l).taps, naive.taps) < 1e-8
 
+    @pytest.mark.parametrize("n", [3, 100])
+    def test_partial_last_node_block(self, n):
+        # at N = 100 the 8192 nodes split into blocks of 655 with a partial
+        # last one; at N = 3 one partial block holds them all
+        sys = with_output_map(nplr_decompose(n), 1)
+        naive = kernel_naive(discretize_bilinear(sys, 0.01), 8192)
+        assert rel_linf(kernel_genfn(sys, 0.01, 8192).taps, naive.taps) < 1e-8
+
+    def test_peak_memory_bounded(self):
+        # the Cauchy pass works in node blocks, so no (L, N) array is built
+        sys = nplr_decompose(256)
+        tracemalloc.start()
+        try:
+            kernel_genfn(sys, 0.01, 16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_invalid_args(self):
         sys = nplr_decompose(2)
         with pytest.raises(DimensionError):
             kernel_genfn(sys, 0.1, 0)
         with pytest.raises(DimensionError):
             kernel_genfn(sys, -0.1, 8)
+
+
+class TestGridErrors:
+    def test_pole_in_a_later_node_block(self):
+        # N = 64 gives blocks of 1024 nodes, so node 3000 sits in the third;
+        # the nodes are the bilinear images of the unit roots
+        base = nplr_decompose(64)
+        omega = unit_roots(4096)
+        lam = base.lam.copy()
+        lam[17] = ((2.0 / 0.01) * (1.0 - omega) / (1.0 + omega))[3000]
+        sys = DplrSystem(lam=lam, p=base.p, b=base.b, c=base.c)
+        with pytest.raises(PoleError):
+            kernel_genfn(sys, 0.01, 4096)
+
+    def test_pole_at_node_zero(self):
+        sys = DplrSystem(lam=[0.0, -1.0], p=[0.0, 0.0], b=[1.0, 1.0], c=[1.0, 1.0])
+        with pytest.raises(PoleError):
+            kernel_genfn(sys, 0.1, 16)
+
+    def test_woodbury_singular(self):
+        # at omega = 1 the node is g = 0, so k11 = |p|^2 / (0 - 1) = -1
+        sys = DplrSystem(lam=[1.0], p=[1.0], b=[1.0], c=[1.0])
+        with pytest.raises(WoodburySingularError):
+            kernel_genfn(sys, 0.1, 16)
 
 
 class TestFftPins:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from liquid_ssm.conv import causal_conv_fft, recurrent_s4
+from liquid_ssm import kernel, liquid, pipeline
+from liquid_ssm.conv import causal_conv, causal_conv_fft, recurrent_s4
 from liquid_ssm.errors import DimensionError, DivergedStateError
-from liquid_ssm.kernel import kernel_naive
+from liquid_ssm.kernel import kernel_genfn, kernel_naive
 from liquid_ssm.liquid import (
     apply_liquid,
     build_liquid_kernels,
@@ -284,6 +285,24 @@ class TestForwardLiquid:
         sys = nplr_decompose(2)
         with pytest.raises(DimensionError):
             forward_liquid_s4(sys, 0.1, np.zeros(8), mode="both")
+
+    def test_kb_discretizes_once(self, monkeypatch):
+        sys = with_output_map(nplr_decompose(8, seed=1), 2)
+        u = np.random.default_rng(9).normal(size=(3, 256))
+        want = causal_conv(kernel_genfn(sys, 0.05, 256).taps, u) + apply_liquid(
+            build_liquid_kernels(sys, 0.05, "kb", 3, 16), u
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return discretize_bilinear(*args)
+
+        for module in (kernel, liquid, pipeline):
+            monkeypatch.setattr(module, "discretize_bilinear", counted)
+        got = forward_liquid_s4(sys, 0.05, u, mode="kb", max_order=3, window=16)
+        assert len(calls) == 1
+        assert np.array_equal(got, want)
 
     def test_default_window(self):
         assert default_window(64) == 8

@@ -223,6 +223,11 @@ class TestDplrSystemValidation:
         with pytest.raises(DimensionError):
             DplrSystem(lam=[np.nan], p=[0.0], b=[1.0], c=[1.0])
 
+    def test_empty(self):
+        # an empty system used to reach the Cauchy grid and fail there untyped
+        with pytest.raises(DimensionError):
+            DplrSystem(lam=[], p=[], b=[], c=[])
+
     def test_discrete_shapes(self):
         with pytest.raises(DimensionError):
             DiscreteSystem(a_bar=np.eye(3), b_bar=np.ones(2), c_bar=np.ones(2), dt=0.1)
