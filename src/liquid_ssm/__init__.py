@@ -7,7 +7,7 @@ from .liquid import (
     LiquidKernelSet,
     apply_liquid,
     build_liquid_kernels,
-    correlation_signal,
+    correlation_signals,
     default_window,
     liquid_expansion_oracle,
     liquid_kernel_kb,
@@ -53,7 +53,7 @@ __all__ = [
     "causal_conv",
     "causal_conv_direct",
     "causal_conv_fft",
-    "correlation_signal",
+    "correlation_signals",
     "default_window",
     "discretize_bilinear",
     "feature_systems",

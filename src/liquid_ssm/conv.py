@@ -1,14 +1,18 @@
 """Every causal convolution in the package, and the exact recurrent reference.
 
-``causal_conv`` picks a banded matmul or ``causal_conv_fft`` from the input
+``causal_conv`` sums the convolutions of several (taps, signal) orders and
+picks accumulated banded matmuls or one summed-spectrum FFT from the input
 size. The FFT path and the direct O(L^2) summation are deliberately independent
 implementations of the same contract; tests hold them to 1e-10 of each other.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import iadd
 
 import numpy as np
 
@@ -48,22 +52,32 @@ def _operands(taps: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return taps, u
 
 
+def _spectral_sum(pairs: Iterable[tuple[np.ndarray, np.ndarray]], l: int, lk: int) -> np.ndarray:
+    """Summed causal convolution of (taps, signal) pairs by one inverse FFT of the summed spectra.
+
+    Zero-padding to a power of two >= L + L_k - 1 makes the circular transform linear.
+    """
+    size = next_pow2(l + lk - 1)
+
+    def term(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        spectrum = np.fft.rfft(x, n=size)
+        spectrum *= np.fft.rfft(t, n=size)  # in place, like the sum: one spectrum per order at a time
+        return spectrum
+
+    return np.fft.irfft(reduce(iadd, (term(t, x) for t, x in pairs)), n=size)[..., :l]
+
+
 def causal_conv_fft(taps: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Non-circular causal convolution, truncated to the input length.
 
     y[k] = sum_{d=0}^{min(k, L_k - 1)} taps[d] * u[k - d]
 
-    Both operands are zero-padded to the next power of two at or above
-    L + L_k - 1, so the circular transform realizes an exact linear
-    convolution. Works on the last axis. Taps are either one (L_k,) sequence,
-    against which the leading axes of ``u`` broadcast, or per-feature (H, L_k)
-    taps against ``u`` shaped (..., H, L).
+    Works on the last axis. Taps are either one (L_k,) sequence, against
+    which the leading axes of ``u`` broadcast, or per-feature (H, L_k) taps
+    against ``u`` shaped (..., H, L).
     """
     taps, u = _operands(taps, u)
-    l = u.shape[-1]
-    size = next_pow2(l + taps.shape[-1] - 1)
-    y = np.fft.irfft(np.fft.rfft(u, n=size) * np.fft.rfft(taps, n=size), n=size)
-    return y[..., :l]
+    return _spectral_sum([(taps, u)], u.shape[-1], taps.shape[-1])
 
 
 @lru_cache(maxsize=32)
@@ -76,23 +90,37 @@ def _band_index(l: int, lk: int) -> tuple[np.ndarray, np.ndarray]:
     return lag, valid
 
 
-def causal_conv(taps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Causal convolution with the contract of ``causal_conv_fft``.
-
-    Multiplies by the (L, L) Toeplitz band of the taps when L <= 64, or when
-    L <= 256 and u holds at least L sequences to share the cost of building
-    the band; longer or fewer sequences go through ``causal_conv_fft``.
-    """
-    taps, u = _operands(taps, u)
+def _band_product(taps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Causal convolution as a product with the (L, L) Toeplitz band of the taps."""
     l = u.shape[-1]
-    if l > 64 and (l > 256 or u.size < l * l):
-        return causal_conv_fft(taps, u)
     lag, valid = _band_index(l, taps.shape[-1])
     band = np.where(valid, np.take(taps, lag, axis=-1), 0.0)  # (L, L) or (H, L, L)
     if taps.ndim == 1:
         return u @ band
     x = u.swapaxes(0, -2)  # features first: each feature multiplies its own band
     return (x.reshape(taps.shape[0], -1, l) @ band).reshape(x.shape).swapaxes(0, -2)
+
+
+def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterable[np.ndarray]) -> np.ndarray:
+    """Summed causal convolution sum_p taps_p * u_p, each term with the contract of ``causal_conv_fft``.
+
+    ``taps`` holds one (L_k,) or (H, L_k) tap set per order and ``u`` the
+    matching signals of one shape, possibly from a generator; one tap array
+    and one signal are the one-order case. Accumulates products with the
+    (L, L) Toeplitz bands when L <= 64, or when L <= 256 and a signal holds at
+    least L sequences to share the cost of the bands; otherwise sums spectra.
+    """
+    if isinstance(taps, np.ndarray):
+        taps, u = (taps,), (u,)
+    signals = iter(u)
+    first = np.asarray(next(signals), dtype=float)
+    taps = [_operands(t, first)[0] for t in taps]
+    rest = (np.asarray(x, dtype=float) for x in signals)
+    pairs = zip(taps, itertools.chain([first], rest), strict=True)
+    l = first.shape[-1]
+    if l > 64 and (l > 256 or first.size < l * l):
+        return _spectral_sum(pairs, l, max(t.shape[-1] for t in taps))
+    return reduce(iadd, (_band_product(t, x) for t, x in pairs))  # summed in place
 
 
 def causal_conv_direct(taps: np.ndarray, u: np.ndarray) -> np.ndarray:

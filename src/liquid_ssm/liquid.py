@@ -13,14 +13,16 @@ the kernel carries a short window of taps. Two kernel modes exist:
 discretized system) alone checks a mode, an order and a window; the
 ``LiquidKernelSet`` it returns derives its maximum order and window from the taps.
 
-Brute-force companions (`liquid_oracle`, `liquid_expansion_oracle`) pin the
-semantics at desk scale.
+Brute-force companions (`liquid_oracle`, its PB form
+`liquid_oracle_pb_reference`, `liquid_expansion_oracle`) pin the semantics at
+desk scale.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import accumulate, islice, product
 
 import numpy as np
 
@@ -62,24 +64,26 @@ class LiquidKernelSet:
         return self.taps[p - 2]
 
 
-def correlation_signal(u: np.ndarray, p: int) -> np.ndarray:
-    """Order-p consecutive-window correlation signal along the last axis of u.
+def correlation_signals(u: np.ndarray, max_order: int) -> Iterator[np.ndarray]:
+    """Iterator over the consecutive-window correlation signals of orders 1..max_order of u.
 
-    Products of p consecutive samples, zero-padded on the left:
-    out[k] = u[k] * u[k-1] * ... * u[k-p+1] for k >= p-1, else 0.
+    Order p, along the last axis, is out[k] = u[k] * u[k-1] * ... * u[k-p+1]
+    for k >= p-1, else 0; order 1 is u itself. Each order is built on demand
+    from the one before, times u delayed by p - 1 samples.
     """
     u = np.asarray(u, dtype=float)
     l = u.shape[-1]
-    if p < 2:
-        raise DimensionError(f"invalid order p={p}; need p >= 2")
-    if p > l:
-        raise DimensionError(f"order p={p} exceeds sequence length {l}")
-    values = np.zeros_like(u)
-    window = u[..., : l - p + 1]
-    for j in range(1, p):
-        window = window * u[..., j : l - p + 1 + j]
-    values[..., p - 1 :] = window
-    return values
+    if max_order < 1:
+        raise DimensionError(f"invalid order p={max_order}; need p >= 1")
+    if max_order > l:
+        raise DimensionError(f"order p={max_order} exceeds sequence length {l}")
+
+    def times_delayed(signal: np.ndarray, p: int) -> np.ndarray:
+        out = np.zeros_like(u)
+        np.multiply(signal[..., p - 1 :], u[..., : l - p + 1], out=out[..., p - 1 :])
+        return out
+
+    return accumulate(range(2, max_order + 1), times_delayed, initial=u)
 
 
 def _kb_taps_discrete(d: DiscreteSystem, p: int, window: int) -> np.ndarray:
@@ -132,16 +136,15 @@ def _liquid_kernels(d: DiscreteSystem, mode: str, max_order: int, window: int) -
     return LiquidKernelSet(taps=tuple(t.real for t in complex_taps), residual_imag=residual)
 
 
-def apply_liquid(kset: LiquidKernelSet, u: np.ndarray) -> np.ndarray:
-    """Total liquid contribution along the last axis: sum over orders of taps_p * corr_p(u)."""
-    u = np.asarray(u, dtype=float)
-    l = u.shape[-1]
+def _check_window(kset: LiquidKernelSet, l: int):
     if kset.window > l:
         raise DimensionError(f"window {kset.window} exceeds sequence length {l}")
-    out = np.zeros_like(u)
-    for p in range(2, kset.max_order + 1):
-        out += causal_conv(kset.order_taps(p), correlation_signal(u, p))
-    return out
+
+
+def apply_liquid(kset: LiquidKernelSet, u: np.ndarray) -> np.ndarray:
+    """Total liquid contribution along the last axis: sum over orders of taps_p * corr_p(u)."""
+    _check_window(kset, np.shape(u)[-1])
+    return causal_conv(kset.taps, islice(correlation_signals(u, kset.max_order), 1, None))
 
 
 def liquid_oracle(
@@ -178,6 +181,15 @@ def liquid_oracle(
                 acc += coeff * np.prod(u[k - lag - p + 1 : k - lag + 1])
         y[k] = acc
     return y
+
+
+def liquid_oracle_pb_reference(
+    d: DiscreteSystem, u: np.ndarray, max_order: int, window: int
+) -> np.ndarray:
+    """``liquid_oracle`` for the PB mode: the liquid part runs on the identity transition."""
+    ident = replace(d, a_bar=np.eye(d.n))
+    vanilla = liquid_oracle(d, u, 1, window)
+    return vanilla + (liquid_oracle(ident, u, max_order, window) - liquid_oracle(ident, u, 1, window))
 
 
 def recurrent_liquid(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:

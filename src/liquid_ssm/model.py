@@ -10,14 +10,15 @@ the linear readout. Training uses central finite differences (step
 vector; no autodiff.
 
 Trainable parameters: the 1 -> H input lift, the per-layer per-feature
-complex output maps, per-path gains, and the readout. The
+complex output maps, per-order gains, and the readout. The
 diagonal-plus-low-rank core and the step sizes stay frozen at their LegS
 initialization. Each layer draws its systems from ``pipeline.feature_systems``
 and stacks their Krylov bases once from ``kernel._krylov``, so every forward
-pass only contracts the bases with the output maps and, at training sizes,
-costs a few banded-Toeplitz matmuls (``conv.causal_conv``).
+pass only contracts the bases with the output maps and makes one
+order-summed ``conv.causal_conv`` call per layer (at training sizes, a few
+banded-Toeplitz matmuls).
 
-Inside a layer the main and per-order liquid tap sequences are normalized to
+Inside a layer the main (order 1) and liquid tap sequences are normalized to
 unit energy and scaled by their gains. Jointly rescaling the output and input
 maps reproduces exactly this freedom (input-map scale s multiplies the
 order-p path by s^p), so the gains are a reparametrization of the trainable
@@ -35,7 +36,7 @@ import numpy as np
 from .conv import SequenceBatch, causal_conv
 from .errors import DimensionError, ParameterBudgetError
 from .kernel import _krylov
-from .liquid import MAX_ORDER, correlation_signal
+from .liquid import MAX_ORDER, correlation_signals
 from .pipeline import MODES, feature_systems
 from .ssm import discretize_bilinear, init_dt_schedule
 
@@ -166,32 +167,24 @@ class SequenceClassifier:
         h = stack.features
         rng = np.random.default_rng(seed)
 
-        # frozen per-layer Krylov bases: a^t b for the main taps, and for each
-        # liquid order p, a^t b^p (KB) or b^p repeated (PB, identity transition)
-        self._bases: list[np.ndarray] = []  # (H, N, L)
-        self._liquid_bases: list[dict[int, np.ndarray]] = []  # order -> (H, N, window)
-        c_init: list[np.ndarray] = []
+        self.params: dict[str, np.ndarray] = {"lift_w": rng.normal(0.0, 1.0, h), "lift_b": np.zeros(h)}
+        # frozen per-layer Krylov bases, order 1 first: a^t b for the main taps, and
+        # for each liquid order p, a^t b^p (KB) or b^p repeated (PB, identity transition)
+        self._bases: list[list[np.ndarray]] = []  # [order - 1] -> (H, N, L_k)
         for li, layer in enumerate(stack.layers):
             dts = init_dt_schedule(h, layer.dt_min, layer.dt_max, seed * 1000 + li, seq_length)
             bank = feature_systems(layer.state_size, h, seed * 1000 + 97 * li, dts)
             ds = [discretize_bilinear(sys_, dt) for sys_, dt in bank]
             eye = np.eye(layer.state_size)
             orders = range(2, layer.max_order + 1) if layer.mode != "none" else ()
-            self._bases.append(np.stack([_basis(d.a_bar, d.b_bar, seq_length) for d in ds]))
-            self._liquid_bases.append({
-                p: np.stack([_basis(d.a_bar if layer.mode == "kb" else eye, d.b_bar**p, layer.window) for d in ds])
+            self._bases.append([np.stack([_basis(d.a_bar, d.b_bar, seq_length) for d in ds])] + [
+                np.stack([_basis(d.a_bar if layer.mode == "kb" else eye, d.b_bar**p, layer.window) for d in ds])
                 for p in orders
-            })
-            c_init.append(np.stack([sys_.c for sys_, _ in bank]) / np.sqrt(layer.state_size))
-
-        self.params: dict[str, np.ndarray] = {"lift_w": rng.normal(0.0, 1.0, h), "lift_b": np.zeros(h)}
-        for li, cs in enumerate(c_init):
-            layer = stack.layers[li]
+            ])
+            cs = np.stack([sys_.c for sys_, _ in bank]) / np.sqrt(layer.state_size)
             self.params[f"c_re_{li}"] = cs.real.copy()
             self.params[f"c_im_{li}"] = cs.imag.copy()
-            self.params[f"gain_main_{li}"] = np.ones(h)
-            if layer.mode != "none":
-                self.params[f"gain_liquid_{li}"] = np.ones((h, layer.max_order - 1))
+            self.params[f"gain_{li}"] = np.ones((h, len(self._bases[li])))  # column p - 1: order p
         self.params["readout_w"] = rng.normal(0.0, 0.1, (h, stack.n_classes))
         self.params["readout_b"] = np.zeros(stack.n_classes)
         self._order = sorted(self.params)
@@ -218,27 +211,14 @@ class SequenceClassifier:
 
     # -- forward -------------------------------------------------------------
 
-    @staticmethod
-    def _unit(taps: np.ndarray) -> np.ndarray:
-        return taps / np.maximum(np.linalg.norm(taps, axis=-1, keepdims=True), 1e-12)
-
-    def layer_contributions(self, li: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pre-nonlinearity pieces of layer li on input x (n, H, L).
-
-        Returns (main, liquid); their sum feeds the activation. Exposed so the
-        degree-1 vs degree-2 behaviour under input negation can be tested
-        directly.
-        """
+    def layer_taps(self, li: int) -> list[np.ndarray]:
+        """Per-order taps of layer li, orders 1..P, each (H, L_k): unit energy times the order's gain."""
         c = self.params[f"c_re_{li}"] + 1j * self.params[f"c_im_{li}"]
-        taps = np.einsum("hn,hnt->ht", c.conj(), self._bases[li]).real
-        gain = self.params[f"gain_main_{li}"]
-        main = causal_conv(self._unit(taps), x) * gain[:, None]
-        liquid = np.zeros_like(main)
-        for p, kry in self._liquid_bases[li].items():
-            ltaps = np.einsum("hn,hnt->ht", c.conj(), kry).real
-            lgain = self.params[f"gain_liquid_{li}"][:, p - 2]
-            liquid += causal_conv(self._unit(ltaps), correlation_signal(x, p)) * lgain[:, None]
-        return main, liquid
+        taps = [np.einsum("hn,hnt->ht", c.conj(), kry).real for kry in self._bases[li]]
+        return [
+            t / np.maximum(np.linalg.norm(t, axis=-1, keepdims=True), 1e-12) * g[:, None]
+            for t, g in zip(taps, self.params[f"gain_{li}"].T, strict=True)
+        ]
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Logits for a batch of raw sequences u (n, L)."""
@@ -249,8 +229,8 @@ class SequenceClassifier:
             )
         x = u[:, None, :] * self.params["lift_w"][:, None] + self.params["lift_b"][:, None]
         for li in range(self.stack.depth):
-            main, liquid = self.layer_contributions(li, x)
-            x = x + gelu(main + liquid)
+            taps = self.layer_taps(li)
+            x = x + gelu(causal_conv(taps, correlation_signals(x, len(taps))))
         pooled = x.mean(axis=2)
         return pooled @ self.params["readout_w"] + self.params["readout_b"]
 

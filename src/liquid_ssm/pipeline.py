@@ -1,4 +1,4 @@
-"""End-to-end forward path: main kernel convolution plus liquid contribution.
+"""End-to-end forward path: one order-summed convolution, main kernel as order 1.
 
 ``MODES`` is the package's one list of liquid modes.
 """
@@ -10,7 +10,7 @@ import numpy as np
 from .conv import causal_conv
 from .errors import DimensionError
 from .kernel import _genfn_kernel
-from .liquid import _liquid_kernels, apply_liquid, default_window
+from .liquid import _check_window, _liquid_kernels, correlation_signals, default_window
 from .ssm import DplrSystem, discretize_bilinear, init_dt_schedule, nplr_decompose, with_output_map
 
 MODES = ("kb", "pb", "none")
@@ -26,9 +26,10 @@ def forward_liquid_s4(
 ) -> np.ndarray:
     """Run single-feature sequences through the convolutional path.
 
-    y = (main kernel) * u along the last axis of one sequence (L,) or a batch
-    (..., L), plus the per-order liquid contribution when ``mode`` is ``'kb'``
-    or ``'pb'``. With ``mode='none'`` this must agree with the recurrent
+    y = sum_p K_p * corr_p(u) along the last axis of one sequence (L,) or a
+    batch (..., L): the main kernel is order 1 (corr_1 = u), and the liquid
+    kernels of orders 2..max_order join it when ``mode`` is ``'kb'`` or
+    ``'pb'``. With ``mode='none'`` this must agree with the recurrent
     reference to 1e-8. The system is discretized once, for both kernels.
     """
     if mode not in MODES:
@@ -36,11 +37,12 @@ def forward_liquid_s4(
     u = np.asarray(u, dtype=float)
     l = u.shape[-1]
     d = discretize_bilinear(sys, dt)
-    y = causal_conv(_genfn_kernel(sys, d, l).taps, u)
+    taps = [_genfn_kernel(sys, d, l).taps]
     if mode != "none":
-        window = default_window(l) if window is None else window
-        y = y + apply_liquid(_liquid_kernels(d, mode, max_order, window), u)
-    return y
+        kset = _liquid_kernels(d, mode, max_order, default_window(l) if window is None else window)
+        _check_window(kset, l)
+        taps += kset.taps
+    return causal_conv(taps, correlation_signals(u, len(taps)))
 
 
 def feature_systems(

@@ -21,6 +21,7 @@ from .liquid import (
     liquid_expansion_oracle,
     liquid_kernel_kb,
     liquid_oracle,
+    liquid_oracle_pb_reference,
     recurrent_liquid,
     _kb_taps_discrete,
     _pb_taps_discrete,
@@ -143,31 +144,18 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     results.append(_result("liquid_flip_identity", res, 0.0))
 
     ident = DiscreteSystem(a_bar=np.eye(4), b_bar=d.b_bar[:4], c_bar=d.c_bar[:4], dt=0.05)
-    res = 0.0
-    for p in (2, 3, 4):
-        res = max(
-            res,
-            float(
-                np.max(
-                    np.abs(
-                        _kb_taps_discrete(ident, p, 9).real
-                        - _pb_taps_discrete(ident, p, 9).real
-                    )
-                )
-            ),
-        )
+    res = max(
+        float(np.max(np.abs(_kb_taps_discrete(ident, p, 9).real - _pb_taps_discrete(ident, p, 9).real)))
+        for p in (2, 3, 4)
+    )
     results.append(_result("kb_with_identity_transition_equals_pb", res, 1e-12))
 
     res = 0.0
     u = rng.normal(0.0, 1.0, 32)
-    for mode in ("kb", "pb"):
+    for mode, oracle in (("kb", liquid_oracle), ("pb", liquid_oracle_pb_reference)):
         kset = build_liquid_kernels(sys, 0.05, mode, 4, 8)
         full = causal_conv_fft(kernel_naive(d, 32).taps, u) + apply_liquid(kset, u)
-        if mode == "kb":
-            res = max(res, float(np.max(np.abs(full - liquid_oracle(d, u, 4, 8)))))
-        else:
-            liq = liquid_oracle_pb_reference(d, u, 4, 8)
-            res = max(res, float(np.max(np.abs(full - liq))))
+        res = max(res, float(np.max(np.abs(full - oracle(d, u, 4, 8)))))
     results.append(_result("kernel_path_matches_liquid_oracle", res, 1e-10))
 
     sys3 = with_output_map(nplr_decompose(3, seed=seed), seed + 2)
@@ -188,16 +176,4 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     results.append(_result("liquid_degree_scaling", res, 1e-9))
 
     return results
-
-
-def liquid_oracle_pb_reference(
-    d: DiscreteSystem, u: np.ndarray, max_order: int, window: int
-) -> np.ndarray:
-    """Direct-sum reference for the PB mode (identity transition in the liquid part)."""
-    ident = DiscreteSystem(
-        a_bar=np.eye(d.n), b_bar=d.b_bar, c_bar=d.c_bar, dt=d.dt
-    )
-    vanilla = liquid_oracle(d, u, 1, window)
-    liquid_part = liquid_oracle(ident, u, max_order, window) - liquid_oracle(ident, u, 1, window)
-    return vanilla + liquid_part
 

@@ -21,6 +21,7 @@ from liquid_ssm.liquid import (
     liquid_expansion_oracle,
     liquid_kernel_kb,
     liquid_oracle,
+    liquid_oracle_pb_reference,
     recurrent_liquid,
 )
 from liquid_ssm.model import (
@@ -39,7 +40,7 @@ from liquid_ssm.ssm import (
     nplr_decompose,
     with_output_map,
 )
-from liquid_ssm.verify import liquid_oracle_pb_reference, run_suite
+from liquid_ssm.verify import run_suite
 
 from helpers import random_stable_system, rel_linf
 

@@ -1,7 +1,8 @@
 """Property tests for the batched forward engine.
 
 Each batched primitive is held to its row-by-row form: ``causal_conv`` and
-``causal_conv_fft`` to the direct summation, ``correlation_signal`` and
+``causal_conv_fft`` to the direct summation (the order-summed ``causal_conv``
+to a sum of direct summations), ``correlation_signals`` and
 ``forward_liquid_s4`` to stacks of 1-D calls. Sequence lengths straddle the
 L = 64 switch between the banded and the FFT path; a table of shapes pins the
 batch-size rule between L = 64 and L = 256.
@@ -11,10 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liquid_ssm import conv as conv_module
 from liquid_ssm.conv import causal_conv, causal_conv_direct, causal_conv_fft
 from liquid_ssm.errors import DimensionError
-from liquid_ssm.liquid import correlation_signal
+from liquid_ssm.liquid import correlation_signals
 from liquid_ssm.pipeline import forward_liquid_s4
 from liquid_ssm.ssm import nplr_decompose, with_output_map
 from liquid_ssm.kernel import _rel_linf
@@ -56,6 +56,13 @@ def test_per_feature_taps_match_direct(l, lk, h, batch, seed, conv):
             assert np.max(np.abs(got[b, i] - causal_conv_direct(taps[i], u[b, i]))) < 1e-10
 
 
+def count_irfft(monkeypatch) -> list:
+    """Record every ``np.fft.irfft`` call, the one inverse transform of the FFT branch."""
+    calls, irfft = [], np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+    return calls
+
+
 @pytest.mark.parametrize(
     "l, rows, uses_band",
     [
@@ -69,8 +76,7 @@ def test_per_feature_taps_match_direct(l, lk, h, batch, seed, conv):
     ],
 )
 def test_size_rule_picks_band_and_matches_direct(monkeypatch, l, rows, uses_band):
-    fft_calls = []
-    monkeypatch.setattr(conv_module, "causal_conv_fft", lambda t, x: fft_calls.append(1) or causal_conv_fft(t, x))
+    fft_calls = count_irfft(monkeypatch)
     rng = np.random.default_rng(l)
     taps = rng.normal(0.0, 1.0, rows[1:] + (40,))
     u = rng.normal(0.0, 1.0, rows + (l,))
@@ -97,12 +103,50 @@ def test_correlation_signal_batched_matches_rows(batch, h, l, p, seed):
     u = np.random.default_rng(seed).normal(0.0, 1.0, (batch, h, l))
     if p > l:
         with pytest.raises(DimensionError):
-            correlation_signal(u, p)
+            correlation_signals(u, p)
         return
-    got = correlation_signal(u, p)
+    got = list(correlation_signals(u, p))
+    assert len(got) == p
     for b in range(batch):
         for i in range(h):
-            np.testing.assert_array_equal(got[b, i], correlation_signal(u[b, i], p))
+            for q, want in enumerate(correlation_signals(u[b, i], p), start=1):
+                np.testing.assert_array_equal(got[q - 1][b, i], want)
+                prods = np.prod([u[b, i, j : l - q + 1 + j] for j in range(q)], axis=0)
+                np.testing.assert_allclose(want[q - 1 :], prods, rtol=1e-13, atol=0.0)
+                assert not np.any(want[: q - 1])
+
+
+@PROPERTY
+@given(
+    l=st.one_of(st.integers(8, 64), st.integers(65, 256), st.integers(257, 320)),
+    orders=st.integers(1, 4),
+    per_feature=st.booleans(),
+    h=st.integers(1, 3),
+    batch=st.integers(1, 3),
+    seed=seeds,
+)
+def test_order_sum_matches_direct(l, orders, per_feature, h, batch, seed):
+    # one call over P orders equals the sum of P direct summations, row by row
+    rng = np.random.default_rng(seed)
+    lks = [l] + [int(k) for k in rng.integers(1, min(l, 40) + 1, orders - 1)]
+    taps = [rng.normal(0.0, 1.0, (h, lk) if per_feature else (lk,)) for lk in lks]
+    u = rng.normal(0.0, 1.0, (batch, h, l))
+    got = causal_conv(taps, correlation_signals(u, orders))
+    assert got.shape == u.shape
+    for b in range(batch):
+        for i in range(h):
+            signals = correlation_signals(u[b, i], orders)
+            want = sum(causal_conv_direct(t[i] if per_feature else t, x) for t, x in zip(taps, signals))
+            assert np.max(np.abs(got[b, i] - want)) < 1e-10
+
+
+def test_kb_forward_takes_one_inverse_fft(monkeypatch):
+    # main kernel and orders 2..3 share one summed spectrum
+    sys_ = with_output_map(nplr_decompose(8, seed=0), 1)
+    u = np.random.default_rng(0).normal(0.0, 1.0, (2, 2048))
+    calls = count_irfft(monkeypatch)
+    forward_liquid_s4(sys_, 0.01, u, "kb", 3)
+    assert len(calls) == 1
 
 
 @PROPERTY

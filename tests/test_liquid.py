@@ -8,7 +8,7 @@ from liquid_ssm.kernel import kernel_genfn, kernel_naive
 from liquid_ssm.liquid import (
     apply_liquid,
     build_liquid_kernels,
-    correlation_signal,
+    correlation_signals,
     default_window,
     liquid_expansion_oracle,
     liquid_kernel_kb,
@@ -24,6 +24,11 @@ from helpers import scalar_discrete
 def scalar_dplr(a_cont, b, c):
     """Scalar continuous system with p = 0 (diagonal only)."""
     return DplrSystem(lam=[a_cont], p=[0.0], b=[b], c=[c])
+
+
+def correlation_signal(u, p):
+    """The order-p signal, the last one ``correlation_signals`` yields."""
+    return list(correlation_signals(u, p))[-1]
 
 
 class TestCorrelationSignal:
@@ -43,10 +48,13 @@ class TestCorrelationSignal:
         assert sig == pytest.approx([0.0, 0.0, 0.0, 0.0])
 
     def test_invalid_order(self):
+        # order 1 is the input itself; below it and above L there is no signal
+        u = np.array([2.0, -1.0, 3.0, 0.5])
+        assert np.array_equal(correlation_signal(u, 1), u)
         with pytest.raises(DimensionError):
-            correlation_signal(np.ones(4), 1)
+            correlation_signals(u, 0)
         with pytest.raises(DimensionError):
-            correlation_signal(np.ones(4), 5)
+            correlation_signals(u, 5)
 
 
 class TestKbKernel:
@@ -289,9 +297,8 @@ class TestForwardLiquid:
     def test_kb_discretizes_once(self, monkeypatch):
         sys = with_output_map(nplr_decompose(8, seed=1), 2)
         u = np.random.default_rng(9).normal(size=(3, 256))
-        want = causal_conv(kernel_genfn(sys, 0.05, 256).taps, u) + apply_liquid(
-            build_liquid_kernels(sys, 0.05, "kb", 3, 16), u
-        )
+        taps = [kernel_genfn(sys, 0.05, 256).taps, *build_liquid_kernels(sys, 0.05, "kb", 3, 16).taps]
+        want = causal_conv(taps, correlation_signals(u, 3))
         calls = []
 
         def counted(*args):

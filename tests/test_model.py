@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from liquid_ssm.conv import causal_conv_direct, recurrent_s4
+from liquid_ssm.conv import causal_conv, causal_conv_direct, recurrent_s4
 from liquid_ssm.errors import DimensionError, ParameterBudgetError
 from liquid_ssm.kernel import kernel_naive
-from liquid_ssm.liquid import _kb_taps_discrete, _pb_taps_discrete
+from liquid_ssm.liquid import _kb_taps_discrete, _pb_taps_discrete, correlation_signals
 from liquid_ssm.model import (
     LayerConfig,
     ModelStack,
@@ -22,6 +22,15 @@ from liquid_ssm.ssm import discretize_bilinear, init_dt_schedule, nplr_decompose
 def window_products(u, p):
     """u[k] u[k-1] ... u[k-p+1], zero for k < p-1."""
     return np.concatenate([np.zeros(p - 1), np.prod([u[j : len(u) - p + 1 + j] for j in range(p)], axis=0)])
+
+
+def layer_parts(model, li, x):
+    """Layer li's pre-activation on x (n, H, L), split into its order-1 (main) and liquid terms."""
+    taps = model.layer_taps(li)
+    signals = list(correlation_signals(x, len(taps)))
+    main = causal_conv(taps[0], signals[0])
+    liquid = causal_conv(taps[1:], signals[1:]) if len(taps) > 1 else np.zeros_like(main)
+    return main, liquid
 
 
 def small_stack(mode="none", features=4, state=4):
@@ -72,7 +81,7 @@ class TestForward:
         model = SequenceClassifier(stack, seq_length=16, seed=0)
         model.params["lift_w"] = np.ones(2)
         model.params["lift_b"] = np.zeros(2)
-        model.params["gain_main_0"] = np.ones(2)
+        model.params["gain_0"] = np.ones((2, 1))
         model.params["readout_w"] = np.eye(2)
         model.params["readout_b"] = np.zeros(2)
 
@@ -107,8 +116,8 @@ class TestForward:
         # liquid part of a P=2 layer is even under input negation, main is odd
         model = SequenceClassifier(small_stack("pb"), seq_length=32, seed=0)
         x = np.random.default_rng(3).normal(size=(4, 4, 32))
-        main_pos, liq_pos = model.layer_contributions(0, x)
-        main_neg, liq_neg = model.layer_contributions(0, -x)
+        main_pos, liq_pos = layer_parts(model, 0, x)
+        main_neg, liq_neg = layer_parts(model, 0, -x)
         assert main_neg == pytest.approx(-main_pos, abs=1e-12)
         assert liq_neg == pytest.approx(liq_pos, abs=1e-12)
 
@@ -120,7 +129,7 @@ class TestForward:
             u = np.random.default_rng(4).normal(size=(4, 64))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             lifted = u[:, None, :] * model.params["lift_w"][:, None] + model.params["lift_b"][:, None]
-            main, liquid = model.layer_contributions(0, lifted)
+            main, liquid = layer_parts(model, 0, lifted)
             assert np.max(np.abs(main)) < 1e6
             assert np.max(np.abs(liquid)) < 1e6
             logits = model.forward(u)
@@ -129,26 +138,34 @@ class TestForward:
     @pytest.mark.parametrize("mode", ["kb", "pb"])
     def test_layer_contributions_match_oracle_taps(self, mode):
         # each layer's main and liquid paths are the unit-normalised oracle
-        # taps of its feature_systems bank, convolved by direct summation
+        # taps of its feature_systems bank, convolved by direct summation, and
+        # the forward pass is exactly those layers, pooled and read out
         layer = LayerConfig(features=3, state_size=5, mode=mode, max_order=3, window=6, dt_min=0.02)
         seed, length = 2, 20
         model = SequenceClassifier(ModelStack(layers=(layer, layer)), seq_length=length, seed=seed)
         oracle = _kb_taps_discrete if mode == "kb" else _pb_taps_discrete
-        x = np.random.default_rng(5).normal(size=(2, 3, length))
+        u = np.random.default_rng(5).normal(size=(2, length))
+        x = u[:, None, :] * model.params["lift_w"][:, None] + model.params["lift_b"][:, None]
         for li in range(2):
             schedule = init_dt_schedule(3, 0.02, 0.2, seed * 1000 + li, length)
             bank = feature_systems(5, 3, seed * 1000 + 97 * li, schedule)
-            main, liquid = model.layer_contributions(li, x)
+            main, liquid = layer_parts(model, li, x)
+            pre = np.empty_like(x)
             for h, (sys_, dt) in enumerate(bank):
                 d = discretize_bilinear(sys_, dt)
                 taps = {1: kernel_naive(d, length).taps}
                 taps.update({p: oracle(d, p, 6).real for p in (2, 3)})
                 taps = {p: t / np.linalg.norm(t) for p, t in taps.items()}
                 for b in range(2):
-                    u = x[b, h]
-                    want_liquid = sum(causal_conv_direct(taps[p], window_products(u, p)) for p in (2, 3))
-                    assert np.max(np.abs(main[b, h] - causal_conv_direct(taps[1], u))) < 1e-12
+                    v = x[b, h]
+                    want_main = causal_conv_direct(taps[1], v)
+                    want_liquid = sum(causal_conv_direct(taps[p], window_products(v, p)) for p in (2, 3))
+                    assert np.max(np.abs(main[b, h] - want_main)) < 1e-12
                     assert np.max(np.abs(liquid[b, h] - want_liquid)) < 1e-12
+                    pre[b, h] = want_main + want_liquid
+            x = x + gelu(pre)
+        logits = x.mean(axis=2) @ model.params["readout_w"] + model.params["readout_b"]
+        assert np.max(np.abs(model.forward(u) - logits)) < 1e-12
 
     def test_shape_mismatch(self):
         model = SequenceClassifier(small_stack(), seq_length=16, seed=0)
