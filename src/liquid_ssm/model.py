@@ -9,6 +9,15 @@ the linear readout. Training uses central finite differences (step
 ``FD_STEP``, momentum ``MOMENTUM``) over a deliberately tiny parameter
 vector; no autodiff.
 
+Because channels stay separate, ``SequenceClassifier.loss_and_gradient``
+computes what each probe can change and nothing more. The pooled features
+of all channels come from one pass per epoch, which also gives the epoch's
+loss. A probe of a per-channel parameter (``lift_w[h]``, ``lift_b[h]``, or
+row h of ``c_re_<li>``, ``c_im_<li>`` or ``gain_<li>``) recomputes feature h
+alone through every layer; a probe of ``readout_w`` or ``readout_b`` only
+reads the cached features out again. ``finite_difference_gradient`` is the
+black-box oracle it is tested against.
+
 Trainable parameters: the 1 -> H input lift, the per-layer per-feature
 complex output maps, per-order gains, and the readout. The
 diagonal-plus-low-rank core and the step sizes stay frozen at their LegS
@@ -44,6 +53,7 @@ TASK_NAMES = ("adjacent-product-sign", "impulse-memory")
 PARAM_BUDGET = 2000
 MOMENTUM = 0.9
 FD_STEP = 1e-4
+BALANCE = 0.05  # largest share by which a class of adjacent-product-sign may miss half
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,7 @@ def _basis(a: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
 
 
 def generate_task(task: SyntheticTask, n: int, seed: int) -> tuple[SequenceBatch, np.ndarray]:
-    """Draw a labelled dataset; balanced within 5 percent per class.
+    """Draw a labelled dataset; balanced within ``BALANCE`` per class.
 
     adjacent-product-sign: i.i.d. standard-normal sequences, label 1 when the
     summed lag-1 product sum_k u_k u_{k+1} is positive. The Bayes statistic is
@@ -137,11 +147,16 @@ def generate_task(task: SyntheticTask, n: int, seed: int) -> tuple[SequenceBatch
     rng = np.random.default_rng(seed)
     l = task.length
     if task.name == "adjacent-product-sign":
+        if n % 2 and 2 * n * BALANCE < 1:  # the closest split of an odd n is off by 1/(2n)
+            raise DimensionError(
+                f"adjacent-product-sign keeps each class share within {BALANCE} of 1/2, so an odd n "
+                f"needs 1/(2n) <= {BALANCE} (n >= 11); got n={n}"
+            )
         for _ in range(64):
             u = rng.standard_normal((n, l))
             labels = (np.sum(u[:, :-1] * u[:, 1:], axis=1) > 0).astype(int)
             frac = labels.mean()
-            if abs(frac - 0.5) <= 0.05:
+            if abs(frac - 0.5) <= BALANCE:
                 return SequenceBatch(u[:, :, None]), labels
         raise DimensionError("could not draw a balanced dataset")  # pragma: no cover
     # impulse-memory: round-robin bucket labels, then shuffled
@@ -188,6 +203,8 @@ class SequenceClassifier:
         self.params["readout_w"] = rng.normal(0.0, 0.1, (h, stack.n_classes))
         self.params["readout_b"] = np.zeros(stack.n_classes)
         self._order = sorted(self.params)
+        # the readout mixes the pooled features; every other parameter is indexed by channel on axis 0
+        self._readout_names = ("readout_w", "readout_b")
 
     # -- parameter vector plumbing ------------------------------------------
 
@@ -211,41 +228,97 @@ class SequenceClassifier:
 
     # -- forward -------------------------------------------------------------
 
-    def layer_taps(self, li: int) -> list[np.ndarray]:
-        """Per-order taps of layer li, orders 1..P, each (H, L_k): unit energy times the order's gain."""
-        c = self.params[f"c_re_{li}"] + 1j * self.params[f"c_im_{li}"]
-        taps = [np.einsum("hn,hnt->ht", c.conj(), kry).real for kry in self._bases[li]]
+    def layer_taps(self, li: int, channels: slice = slice(None)) -> list[np.ndarray]:
+        """Per-order taps of layer li, orders 1..P, each (H, L_k): unit energy times the order's gain.
+
+        ``channels`` selects the rows (features) to build; the other rows are not computed.
+        """
+        c = self.params[f"c_re_{li}"][channels] + 1j * self.params[f"c_im_{li}"][channels]
+        taps = [np.einsum("hn,hnt->ht", c.conj(), kry[channels]).real for kry in self._bases[li]]
         return [
             t / np.maximum(np.linalg.norm(t, axis=-1, keepdims=True), 1e-12) * g[:, None]
-            for t, g in zip(taps, self.params[f"gain_{li}"].T, strict=True)
+            for t, g in zip(taps, self.params[f"gain_{li}"][channels].T, strict=True)
         ]
 
-    def forward(self, u: np.ndarray) -> np.ndarray:
-        """Logits for a batch of raw sequences u (n, L)."""
+    def features(self, u: np.ndarray, channels: slice = slice(None)) -> np.ndarray:
+        """Pooled features (n, h) of raw sequences u (n, L): lift, every layer, mean over time.
+
+        Features never mix before the readout, so a pass over ``channels``
+        alone gives those columns of the all-channel pass: bit-identical
+        whenever ``causal_conv`` picks the same branch at both widths, as it
+        always does at L <= 64.
+        """
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != self.seq_length:
             raise DimensionError(
                 f"expected (n, {self.seq_length}) inputs, got {u.shape}"
             )
-        x = u[:, None, :] * self.params["lift_w"][:, None] + self.params["lift_b"][:, None]
+        x = u[:, None, :] * self.params["lift_w"][channels, None] + self.params["lift_b"][channels, None]
         for li in range(self.stack.depth):
-            taps = self.layer_taps(li)
+            taps = self.layer_taps(li, channels)
             x = x + gelu(causal_conv(taps, correlation_signals(x, len(taps))))
-        pooled = x.mean(axis=2)
+        return x.mean(axis=2)
+
+    def readout(self, pooled: np.ndarray) -> np.ndarray:
+        """Logits of pooled (n, H) features."""
         return pooled @ self.params["readout_w"] + self.params["readout_b"]
+
+    def forward(self, u: np.ndarray) -> np.ndarray:
+        """Logits for a batch of raw sequences u (n, L)."""
+        return self.readout(self.features(u))
 
     def loss_and_accuracy(self, u: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
         """Mean softmax cross-entropy and top-1 accuracy."""
-        logits = self.forward(u)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=1))
-        nll = logz - shifted[np.arange(len(labels)), labels]
-        acc = float(np.mean(np.argmax(logits, axis=1) == labels))
-        return float(np.mean(nll)), acc
+        return _cross_entropy(self.forward(u), labels)
+
+    def loss_and_gradient(self, u: np.ndarray, labels: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """Loss, accuracy and central finite-difference gradient at the current parameters.
+
+        Probes run in the parameter-vector order, with the step and the central
+        difference of ``finite_difference_gradient``. Each moves its entry in
+        place by h = ``FD_STEP`` * max(1, |theta_i|) either way, then restores
+        it. Only the probed channel's column of the pooled features is
+        recomputed (row h of a per-channel parameter is channel h); a readout
+        probe reuses them as they are.
+        """
+        pooled = self.features(u)
+        loss, acc = _cross_entropy(self.readout(pooled), labels)
+        grad = []
+        for name in self._order:
+            values = self.params[name]
+            for idx in np.ndindex(values.shape):
+                old = values[idx]
+                h = FD_STEP * max(1.0, abs(old))
+                probed = []
+                for value in (old + h, old - h):
+                    values[idx] = value
+                    if name in self._readout_names:
+                        probe = pooled
+                    else:
+                        channel = slice(idx[0], idx[0] + 1)
+                        probe = pooled.copy()
+                        probe[:, channel] = self.features(u, channel)
+                    probed.append(_cross_entropy(self.readout(probe), labels)[0])
+                values[idx] = old
+                grad.append((probed[0] - probed[1]) / (2.0 * h))
+        return loss, acc, np.array(grad)
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Mean softmax cross-entropy and top-1 accuracy of logits (n, classes)."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logz = np.log(np.sum(np.exp(shifted), axis=1))
+    nll = logz - shifted[np.arange(len(labels)), labels]
+    acc = float(np.mean(np.argmax(logits, axis=1) == labels))
+    return float(np.mean(nll)), acc
 
 
 def finite_difference_gradient(f, theta: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
-    """Central finite-difference gradient, step rel_step * max(1, |theta_i|)."""
+    """Central finite-difference gradient, step rel_step * max(1, |theta_i|).
+
+    The black-box oracle for ``SequenceClassifier.loss_and_gradient``: every
+    probe re-evaluates ``f`` on a perturbed copy of the whole vector.
+    """
     grad = np.empty_like(theta)
     for i in range(theta.size):
         h = rel_step * max(1.0, abs(theta[i]))
@@ -278,20 +351,14 @@ def train_demo(
         raise ParameterBudgetError(model.param_count, PARAM_BUDGET)
     batch, labels = generate_task(task, n_train, seed)
     u = batch.values[:, :, 0]
-
-    def objective(theta: np.ndarray) -> float:
-        model.set_param_vector(theta)
-        return model.loss_and_accuracy(u, labels)[0]
-
     theta = model.get_param_vector()
     velocity = np.zeros_like(theta)
     losses, accuracies = [], []
     for _ in range(epochs):
         model.set_param_vector(theta)
-        loss, acc = model.loss_and_accuracy(u, labels)
+        loss, acc, grad = model.loss_and_gradient(u, labels)
         losses.append(loss)
         accuracies.append(acc)
-        grad = finite_difference_gradient(objective, theta, rel_step=FD_STEP)
         velocity = MOMENTUM * velocity - lr * grad
         theta = theta + velocity
     model.set_param_vector(theta)

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,24 +131,11 @@ def legs_init_vectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return b, p
 
 
-def nplr_decompose(n: int, seed: int = 0) -> DplrSystem:
-    """Decompose the LegS matrix into diagonal-plus-low-rank form.
+@lru_cache(maxsize=16)
+def _legs_core(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Seed-independent DPLR core (lam, p, b, V) of the LegS matrix, one eigensolve per n.
 
-    With B, P from ``legs_init_vectors``, the matrix ``S = hippo_legs(n) + P P^T``
-    equals ``-I/2`` plus a skew-symmetric part, so ``i * skew`` is Hermitian and
-    a Hermitian eigensolve yields an exactly unitary basis V with eigenvalues
-    ``lam = -1/2 + i mu`` sorted by imaginary part ascending. B and P are
-    rotated by ``V*``; the output map c is a fresh standard-normal real vector
-    rotated the same way (seeded), which keeps kernels of the rotated system
-    real to machine precision.
-
-    Args:
-        n: state dimension.
-        seed: RNG seed for the output map.
-
-    Returns:
-        DplrSystem with ``basis`` set to V, satisfying
-        ``V (diag(lam) - (V* P)(V* P)*) V* ~= hippo_legs(n)``.
+    Cached, so every caller shares the returned arrays; they are read-only.
     """
     a = hippo_legs(n)
     b0, p0 = legs_init_vectors(n)
@@ -161,14 +149,41 @@ def nplr_decompose(n: int, seed: int = 0) -> DplrSystem:
     vh = v.conj().T
     b = vh @ b0
     p = vh @ p0
-    c = vh @ np.random.default_rng(seed).standard_normal(n).astype(complex)
-    sys = DplrSystem(lam=lam, p=p, b=b, c=c, basis=v)
-    residual = float(np.linalg.norm(v @ sys.a_dense() @ vh - a))
+    rec = v @ (np.diag(lam) - np.outer(p, p.conj())) @ vh
+    residual = float(np.linalg.norm(rec - a))
     if residual > 1e-6 * max(1.0, float(np.linalg.norm(a))):
         raise DecompositionError(
             f"DPLR reconstruction residual {residual:.3e} exceeds tolerance"
         )
-    return sys
+    for arr in (lam, p, b, v):
+        arr.flags.writeable = False
+    return lam, p, b, v
+
+
+def nplr_decompose(n: int, seed: int = 0) -> DplrSystem:
+    """Decompose the LegS matrix into diagonal-plus-low-rank form.
+
+    With B, P from ``legs_init_vectors``, the matrix ``S = hippo_legs(n) + P P^T``
+    equals ``-I/2`` plus a skew-symmetric part, so ``i * skew`` is Hermitian and
+    a Hermitian eigensolve yields an exactly unitary basis V with eigenvalues
+    ``lam = -1/2 + i mu`` sorted by imaginary part ascending. B and P are
+    rotated by ``V*``; the output map c is a fresh standard-normal real vector
+    rotated the same way (seeded), which keeps kernels of the rotated system
+    real to machine precision. The eigensolve does not depend on the seed and
+    runs once per n (``_legs_core``); the returned system shares its
+    read-only lam, p, b and basis arrays with every other system of that n.
+
+    Args:
+        n: state dimension.
+        seed: RNG seed for the output map.
+
+    Returns:
+        DplrSystem with ``basis`` set to V, satisfying
+        ``V (diag(lam) - (V* P)(V* P)*) V* ~= hippo_legs(n)``.
+    """
+    lam, p, b, v = _legs_core(n)
+    c = v.conj().T @ np.random.default_rng(seed).standard_normal(n).astype(complex)
+    return DplrSystem(lam=lam, p=p, b=b, c=c, basis=v)
 
 
 def with_output_map(sys: DplrSystem, seed: int) -> DplrSystem:

@@ -243,6 +243,15 @@ class TestTrainDemoCommand:
         ) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_unbalanceable_n_train_exit_2(self, tmp_path, capsys):
+        # adjacent-product-sign cannot split an odd n below 11 within 5 percent of half
+        out = tmp_path / "t.json"
+        assert run(["train-demo", "--n-train", "3", "--epochs", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n=3" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestConfigHandling:
     def test_config_file_with_overrides(self, tmp_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liquid_ssm.conv import causal_conv, causal_conv_direct, recurrent_s4
 from liquid_ssm.errors import DimensionError, ParameterBudgetError
-from liquid_ssm.kernel import kernel_naive
+from liquid_ssm.kernel import _rel_linf, kernel_naive
 from liquid_ssm.liquid import _kb_taps_discrete, _pb_taps_discrete, correlation_signals
 from liquid_ssm.model import (
+    FD_STEP,
     LayerConfig,
     ModelStack,
     SequenceClassifier,
@@ -15,8 +17,8 @@ from liquid_ssm.model import (
     generate_task,
     train_demo,
 )
-from liquid_ssm.pipeline import feature_systems
-from liquid_ssm.ssm import discretize_bilinear, init_dt_schedule, nplr_decompose, with_output_map
+from liquid_ssm.pipeline import MODES, feature_systems
+from liquid_ssm.ssm import _legs_core, discretize_bilinear, init_dt_schedule, nplr_decompose, with_output_map
 
 
 def window_products(u, p):
@@ -66,6 +68,16 @@ class TestGenerateTask:
         assert np.all(np.abs(counts / 200 - 0.25) <= 0.05)
         positions = np.argmax(batch.values[:, :, 0], axis=1)
         assert np.array_equal(positions // 8, labels)
+
+    @pytest.mark.parametrize("n", [2, 9, 10, 11])
+    def test_odd_n_below_eleven_cannot_balance(self, n):
+        # the closest split of an odd n misses half by 1/(2n), over 5 percent below n = 11
+        task = SyntheticTask(name="adjacent-product-sign", length=8)
+        if n == 9:
+            with pytest.raises(DimensionError, match="odd n"):
+                generate_task(task, n, seed=0)
+        else:
+            assert abs(generate_task(task, n, seed=0)[1].mean() - 0.5) <= 0.05
 
     def test_unknown_task(self):
         with pytest.raises(DimensionError):
@@ -189,6 +201,18 @@ class TestParamPlumbing:
         with pytest.raises(DimensionError):
             model.set_param_vector(vec[:-1])
 
+    def test_eigensolve_once_per_state_size(self, monkeypatch):
+        _legs_core.cache_clear()
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        layer = LayerConfig(features=3, state_size=5, mode="pb", max_order=2, window=4)
+        SequenceClassifier(ModelStack(layers=(layer, layer, layer)), seq_length=16, seed=0)
+        assert shapes == [(5, 5)]
+        for cached in _legs_core(5):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
+
     def test_param_count(self):
         model = SequenceClassifier(small_stack("pb"), seq_length=32, seed=0)
         # lift 4+4, c 2*4*4, main gain 4, liquid gain 4, readout 8+2
@@ -223,7 +247,65 @@ class TestFiniteDifferences:
             assert abs(g1[i] - g2[i]) / scale < 1e-3
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    depth=st.integers(1, 3),
+    features=st.integers(1, 4),
+    state=st.integers(1, 4),
+    mode=st.sampled_from(MODES),
+    order=st.integers(2, 3),
+    classes=st.integers(2, 3),
+    task_name=st.sampled_from(["adjacent-product-sign", "impulse-memory"]),
+    length=st.integers(8, 32),
+    seed=st.integers(0, 2**16),
+)
+def test_channel_gradient_matches_oracle(depth, features, state, mode, order, classes, task_name, length, seed):
+    # the channel-by-channel gradient against the black-box oracle on the same objective
+    layer = LayerConfig(features=features, state_size=state, mode=mode, max_order=order, window=6)
+    model = SequenceClassifier(ModelStack(layers=(layer,) * depth, n_classes=classes), seq_length=length, seed=seed)
+    batch, labels = generate_task(SyntheticTask(name=task_name, length=length, n_classes=classes), 12, seed)
+    u = batch.values[:, :, 0]
+    theta = model.get_param_vector() + 0.3 * np.random.default_rng(seed).standard_normal(model.param_count)
+    model.set_param_vector(theta)
+    loss, acc, grad = model.loss_and_gradient(u, labels)
+    assert np.array_equal(model.get_param_vector(), theta)  # every probe restored its entry
+
+    def objective(vec):
+        model.set_param_vector(vec)
+        return model.loss_and_accuracy(u, labels)[0]
+
+    want = finite_difference_gradient(objective, theta, rel_step=FD_STEP)
+    assert _rel_linf(grad, want) <= 1e-10
+    model.set_param_vector(theta)
+    assert (loss, acc) == model.loss_and_accuracy(u, labels)
+
+
 class TestTrainDemo:
+    def test_probe_pass_counts(self, monkeypatch):
+        # train-fd's model: 48 per-channel parameters, each probed both ways by a
+        # one-channel pass, and 10 readout parameters probed on the cached features
+        model = SequenceClassifier(small_stack("pb"), seq_length=32, seed=0)
+        assert model.param_count == 58
+        widths, forwards = [], []
+
+        def spy(method, log):
+            def wrapped(*args):
+                out = method(*args)
+                log.append(out.shape[1])
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(model, "features", spy(model.features, widths))
+        monkeypatch.setattr(model, "forward", spy(model.forward, forwards))
+        epochs = 2
+        train_demo(model, SyntheticTask(length=32), epochs=epochs, lr=0.1, seed=0, n_train=20)
+        assert widths.count(1) == 96 * epochs
+        # all four channels once per epoch (its loss and the unperturbed features), once for the final loss
+        assert widths.count(4) == epochs + 1
+        assert len(widths) == 96 * epochs + epochs + 1
+        assert len(forwards) == 1  # the final loss; an epoch reads out its features directly
+
     def test_budget_guard(self):
         layer = LayerConfig(features=24, state_size=12, mode="pb", max_order=4, window=8)
         stack = ModelStack(layers=(layer, layer, layer))
