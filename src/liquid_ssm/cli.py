@@ -3,10 +3,11 @@ benchmarking, and the training demo.
 
 Each command takes only the flags it reads (``COMMANDS``); a config file may
 hold any ``RunConfig`` key, and a command ignores the keys it does not read.
-Exit codes: 0 success, 1 verification failure, 2 usage/config error or an
-input too large for memory, 3 I/O error. Reports are JSON documents; every
-command is deterministic under a fixed seed, config and BLAS thread count
-apart from fields under ``timing_ms`` (``kernel_genfn`` taps move by 6.6e-14
+Exit codes: 0 success, 1 verification failure, 2 usage/config error, an
+input too large for memory or a diverged training run, 3 I/O error. Reports
+are strict JSON documents (no NaN or Infinity); every command is
+deterministic under a fixed seed, config and BLAS thread count apart from
+fields under ``timing_ms`` (``kernel_genfn`` taps move by 7.0e-14
 relative between one and two OpenBLAS threads at N = 256, L = 16384).
 """
 
@@ -130,7 +131,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def emit(document: dict, out_path: str | None):
-    text = json.dumps(document, indent=2)
+    text = json.dumps(document, indent=2, allow_nan=False)  # strict JSON: no NaN or Infinity
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

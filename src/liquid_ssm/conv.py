@@ -107,8 +107,9 @@ def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterabl
     ``taps`` holds one (L_k,) or (H, L_k) tap set per order and ``u`` the
     matching signals of one shape, possibly from a generator; one tap array
     and one signal are the one-order case. Accumulates products with the
-    (L, L) Toeplitz bands when L <= 64, or when L <= 256 and a signal holds at
-    least L sequences to share the cost of the bands; otherwise sums spectra.
+    (L, L) Toeplitz bands when L <= 64, or when L <= 256 and at least L
+    sequences share each band (per-feature taps give every feature its own
+    band); otherwise sums spectra.
     """
     if isinstance(taps, np.ndarray):
         taps, u = (taps,), (u,)
@@ -118,7 +119,8 @@ def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterabl
     rest = (np.asarray(x, dtype=float) for x in signals)
     pairs = zip(taps, itertools.chain([first], rest), strict=True)
     l = first.shape[-1]
-    if l > 64 and (l > 256 or first.size < l * l):
+    bands = max((t.shape[0] for t in taps if t.ndim == 2), default=1)
+    if l > 64 and (l > 256 or first.size // bands < l * l):
         return _spectral_sum(pairs, l, max(t.shape[-1] for t in taps))
     return reduce(iadd, (_band_product(t, x) for t, x in pairs))  # summed in place
 

@@ -6,9 +6,13 @@ matrix-vector product at a time and serves as the oracle. The fast path
 evaluates the truncated generating function at the unit roots of a frequency
 grid through one blocked Cauchy pass -- one reciprocal block and one
 (N, 4) weight matmul per block of nodes -- plus a rank-1 Woodbury
-combination, then recovers the taps with an inverse transform. The two must
-agree to 1e-8 relative L-infinity on any stable system. ``bench_kernel``
-times both paths with ``_best_of``, the one round-robin timer of the package.
+combination, then recovers the taps with an inverse transform. A system
+flagged ``real_response`` has a conjugate-symmetric spectrum, so only the
+size//2 + 1 non-negative frequencies are evaluated and a real inverse FFT
+recovers the taps; any other system is evaluated on the full grid. The naive
+and fast paths must agree to 1e-8 relative L-infinity on any stable system.
+``bench_kernel`` times both with ``_best_of``, the one round-robin timer of
+the package.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ class Kernel:
     ``residual_imag`` records the largest imaginary magnitude discarded when
     taking real parts; it stays below 1e-6 for any system equivalent to a
     real one (conjugate-symmetric spectrum with a rotated real output map).
+    It is 0.0 by construction for a generating-function kernel of a
+    ``real_response`` system, whose half-spectrum inverse FFT is real.
     """
 
     taps: np.ndarray
@@ -47,11 +53,11 @@ class Kernel:
         object.__setattr__(self, "taps", t)
 
 
-def unit_roots(l: int) -> np.ndarray:
-    """The L complex nodes omega_k = exp(2 pi i k / L) of the frequency grid."""
+def unit_roots(l: int, count: int | None = None) -> np.ndarray:
+    """The first ``count`` (default all L) nodes omega_k = exp(2 pi i k / L) of the frequency grid."""
     if l < 1:
         raise DimensionError(f"need l >= 1, got {l}")
-    return np.exp(2j * np.pi * np.arange(l) / l)
+    return np.exp(2j * np.pi * np.arange(l if count is None else count) / l)
 
 
 def _rel_linf(got: np.ndarray, want: np.ndarray) -> float:
@@ -116,7 +122,8 @@ def _genfn_kernel(sys: DplrSystem, d: DiscreteSystem, l: int) -> Kernel:
         raise DimensionError(f"need l >= 1, got {l}")
     dt, size = d.dt, next_pow2(l)
     ct = truncate_generating_c(d, size)
-    omega = unit_roots(size)
+    # a real response has a conjugate-symmetric spectrum: nodes 0..size//2 fix it
+    omega = unit_roots(size, size // 2 + 1 if sys.real_response else size)
     half = size // 2 if size % 2 == 0 else None  # omega = -1 node, singular prefactor
     w = np.stack([np.conj(v) * x for v in (ct, sys.p) for x in (sys.b, sys.p)], axis=1)
 
@@ -136,7 +143,10 @@ def _genfn_kernel(sys: DplrSystem, d: DiscreteSystem, l: int) -> Kernel:
         # divergent-prefactor product).
         khat[half] = 0.5 * dt * np.vdot(ct, sys.b)
     # Samples live at omega^{+i}, so the forward transform (scaled) inverts
-    # the evaluation map.
+    # the evaluation map; on the half grid that is the real inverse transform
+    # of the conjugate spectrum.
+    if sys.real_response:
+        return Kernel(taps=np.fft.irfft(np.conj(khat), n=size)[:l], residual_imag=0.0)
     taps = (np.fft.fft(khat) / size)[:l]
     return Kernel(taps=taps.real, residual_imag=float(np.max(np.abs(taps.imag))))
 
@@ -145,8 +155,9 @@ def kernel_genfn(sys: DplrSystem, dt: float, l: int) -> Kernel:
     """Frequency-domain kernel generation.
 
     Computes the truncated generating function, samples it at the unit roots
-    through one blocked Cauchy pass combined by the rank-1 Woodbury identity,
-    and recovers the taps with an inverse transform. Non-power-of-two lengths
+    (only the non-negative frequencies when ``sys.real_response``) through
+    one blocked Cauchy pass combined by the rank-1 Woodbury identity, and
+    recovers the taps with an inverse transform. Non-power-of-two lengths
     are generated at the next power of two and truncated, which is exact
     because tap i never depends on the requested length.
     """

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import SequenceBatch, causal_conv
-from .errors import DimensionError, ParameterBudgetError
+from .errors import DimensionError, DivergedStateError, ParameterBudgetError
 from .kernel import _krylov
 from .liquid import MAX_ORDER, correlation_signals
 from .pipeline import MODES, feature_systems
@@ -341,11 +341,12 @@ def train_demo(
 ) -> dict:
     """Train by central finite differences with a plain momentum update.
 
-    Refuses models over ``PARAM_BUDGET`` parameters. Deterministic under a fixed
-    seed: the dataset, the probe order, and the update rule contain no other
-    randomness, and the forward pass has none. Returns a report with
-    per-epoch loss/accuracy, final metrics, the seed, and a configuration
-    echo.
+    Refuses models over ``PARAM_BUDGET`` parameters, and raises
+    ``DivergedStateError`` once a loss or the parameters stop being finite.
+    Deterministic under a fixed seed: the dataset, the probe order, and the
+    update rule contain no other randomness, and the forward pass has none.
+    Returns a report with per-epoch loss/accuracy, final metrics, the seed,
+    and a configuration echo.
     """
     if model.param_count > PARAM_BUDGET:
         raise ParameterBudgetError(model.param_count, PARAM_BUDGET)
@@ -354,15 +355,23 @@ def train_demo(
     theta = model.get_param_vector()
     velocity = np.zeros_like(theta)
     losses, accuracies = [], []
-    for _ in range(epochs):
+
+    def refuse_non_finite(epoch: int, loss: float):
+        if not (np.isfinite(loss) and np.all(np.isfinite(theta))):
+            raise DivergedStateError(epoch, f"training diverged at epoch {epoch}: non-finite loss or parameters")
+
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused instead
+        for epoch in range(epochs):
+            model.set_param_vector(theta)
+            loss, acc, grad = model.loss_and_gradient(u, labels)
+            velocity = MOMENTUM * velocity - lr * grad
+            theta = theta + velocity
+            refuse_non_finite(epoch, loss)
+            losses.append(loss)
+            accuracies.append(acc)
         model.set_param_vector(theta)
-        loss, acc, grad = model.loss_and_gradient(u, labels)
-        losses.append(loss)
-        accuracies.append(acc)
-        velocity = MOMENTUM * velocity - lr * grad
-        theta = theta + velocity
-    model.set_param_vector(theta)
-    final_loss, final_acc = model.loss_and_accuracy(u, labels)
+        final_loss, final_acc = model.loss_and_accuracy(u, labels)
+        refuse_non_finite(epochs, final_loss)
     layer0 = model.stack.layers[0]
     return {
         "task": task.name,

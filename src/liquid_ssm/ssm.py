@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +40,11 @@ class DplrSystem:
         basis: optional (N, N) unitary relating this system to an original
              real basis (kept for reconstruction checks and for drawing
              output maps that preserve real input-output behaviour).
+        real_response: the impulse response is real, so its spectrum is
+             conjugate-symmetric and the generating-function kernel needs
+             only the non-negative frequencies. Set by ``nplr_decompose``,
+             which draws a real output map in the real LegS basis, and kept
+             by ``with_output_map``; never inferred from the values.
     """
 
     lam: np.ndarray
@@ -47,6 +52,7 @@ class DplrSystem:
     b: np.ndarray
     c: np.ndarray
     basis: np.ndarray | None = None
+    real_response: bool = False
 
     def __post_init__(self):
         for name in ("lam", "p", "b", "c"):
@@ -178,24 +184,26 @@ def nplr_decompose(n: int, seed: int = 0) -> DplrSystem:
         seed: RNG seed for the output map.
 
     Returns:
-        DplrSystem with ``basis`` set to V, satisfying
+        DplrSystem with ``basis`` set to V and ``real_response`` set, satisfying
         ``V (diag(lam) - (V* P)(V* P)*) V* ~= hippo_legs(n)``.
     """
     lam, p, b, v = _legs_core(n)
     c = v.conj().T @ np.random.default_rng(seed).standard_normal(n).astype(complex)
-    return DplrSystem(lam=lam, p=p, b=b, c=c, basis=v)
+    return DplrSystem(lam=lam, p=p, b=b, c=c, basis=v, real_response=True)
 
 
 def with_output_map(sys: DplrSystem, seed: int) -> DplrSystem:
     """Redraw the output map of a decomposed system (fresh seed, same basis).
 
     Draws real standard-normal coefficients in the original basis and rotates
-    them, preserving the real input-output property.
+    them. A real output map keeps a real response real, so the result keeps
+    the ``real_response`` flag of ``sys`` (set for every ``nplr_decompose``
+    system); the basis alone does not make the state and input maps real.
     """
     if sys.basis is None:
         raise DimensionError("system carries no basis; cannot redraw output map")
     c = sys.basis.conj().T @ np.random.default_rng(seed).standard_normal(sys.n)
-    return DplrSystem(lam=sys.lam, p=sys.p, b=sys.b, c=c, basis=sys.basis)
+    return replace(sys, c=c)
 
 
 def discretize_bilinear(sys: DplrSystem, dt: float) -> DiscreteSystem:

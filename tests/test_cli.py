@@ -252,6 +252,23 @@ class TestTrainDemoCommand:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_diverged_run_exit_2(self, tmp_path, capsys, source):
+        # a huge step overflows the parameters: no report with NaN losses
+        argv = ["train-demo", "--epochs", "2"]
+        if source == "flag":
+            argv += ["--lr", "1e300"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"lr": 1e300}))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "t.json"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "diverged" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestConfigHandling:
     def test_config_file_with_overrides(self, tmp_path):

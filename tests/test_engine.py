@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liquid_ssm.conv import causal_conv, causal_conv_direct, causal_conv_fft
+from liquid_ssm.conv import causal_conv, causal_conv_direct, causal_conv_fft, next_pow2
 from liquid_ssm.errors import DimensionError
 from liquid_ssm.liquid import correlation_signals
 from liquid_ssm.pipeline import forward_liquid_s4
@@ -56,10 +56,20 @@ def test_per_feature_taps_match_direct(l, lk, h, batch, seed, conv):
             assert np.max(np.abs(got[b, i] - causal_conv_direct(taps[i], u[b, i]))) < 1e-10
 
 
-def count_irfft(monkeypatch) -> list:
-    """Record every ``np.fft.irfft`` call, the one inverse transform of the FFT branch."""
+def count_irfft(monkeypatch, size: int | None = None) -> list:
+    """Record each ``np.fft.irfft`` call, the one inverse transform of the FFT branch.
+
+    With ``size``, only calls of that transform size count, so a kernel's own
+    half-spectrum transform is told apart from the convolution's.
+    """
     calls, irfft = [], np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+
+    def counted(*a, **k):
+        if size is None or k.get("n") == size:
+            calls.append(1)
+        return irfft(*a, **k)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
     return calls
 
 
@@ -70,12 +80,15 @@ def count_irfft(monkeypatch) -> list:
         (65, (1,), False),
         (100, (100,), True),
         (100, (99,), False),
-        (256, (64, 4), True),
-        (256, (63, 4), False),
+        (256, (256, 4), True),
+        (256, (255, 4), False),
         (257, (300,), False),
+        (100, (100, 4), True),
+        (100, (25, 4), False),
     ],
 )
 def test_size_rule_picks_band_and_matches_direct(monkeypatch, l, rows, uses_band):
+    # per-feature (H, 40) taps give each feature its own band, shared by rows[0] sequences
     fft_calls = count_irfft(monkeypatch)
     rng = np.random.default_rng(l)
     taps = rng.normal(0.0, 1.0, rows[1:] + (40,))
@@ -85,6 +98,12 @@ def test_size_rule_picks_band_and_matches_direct(monkeypatch, l, rows, uses_band
     for idx in np.ndindex(rows):
         want = causal_conv_direct(taps[idx[1:]], u[idx])
         assert np.max(np.abs(got[idx] - want)) < 1e-10
+    if len(rows) == 2:
+        # one channel of the same per-feature pass takes the same branch
+        fft_calls.clear()
+        one = causal_conv(taps[:1], u[:, :1])
+        assert (not fft_calls) == uses_band
+        assert np.max(np.abs(one - got[:, :1])) < 1e-10
 
 
 @pytest.mark.parametrize("conv", [causal_conv, causal_conv_fft])
@@ -144,7 +163,7 @@ def test_kb_forward_takes_one_inverse_fft(monkeypatch):
     # main kernel and orders 2..3 share one summed spectrum
     sys_ = with_output_map(nplr_decompose(8, seed=0), 1)
     u = np.random.default_rng(0).normal(0.0, 1.0, (2, 2048))
-    calls = count_irfft(monkeypatch)
+    calls = count_irfft(monkeypatch, size=next_pow2(2 * 2048 - 1))  # the kernel's own transform is 2048
     forward_liquid_s4(sys_, 0.01, u, "kb", 3)
     assert len(calls) == 1
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,7 @@ class TestUnitRoots:
         w = unit_roots(16)
         assert np.max(np.abs(np.abs(w) - 1.0)) < 1e-15
         assert w[0] == pytest.approx(1.0)
+        np.testing.assert_array_equal(unit_roots(16, 9), w[:9])
 
     def test_invalid(self):
         with pytest.raises(DimensionError):
@@ -113,7 +115,7 @@ class TestKernelGenfn:
 
     def test_linearity_in_output_map(self):
         sys = nplr_decompose(6, seed=3)
-        doubled = DplrSystem(lam=sys.lam, p=sys.p, b=sys.b, c=2.0 * sys.c, basis=sys.basis)
+        doubled = replace(sys, c=2.0 * sys.c)  # same grid as sys
         k1 = kernel_genfn(sys, 0.1, 32)
         k2 = kernel_genfn(doubled, 0.1, 32)
         assert np.array_equal(k2.taps, 2.0 * k1.taps)
@@ -170,6 +172,45 @@ class TestKernelGenfn:
             kernel_genfn(sys, 0.1, 0)
         with pytest.raises(DimensionError):
             kernel_genfn(sys, -0.1, 8)
+
+
+class TestHalfGrid:
+    # a real_response system is evaluated at the size//2 + 1 non-negative frequencies only
+
+    @PROPERTY
+    @given(
+        n=st.integers(1, 64),
+        l=st.integers(1, 4096),
+        dt=st.floats(1e-3, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_naive_and_full_grid(self, n, l, dt, seed):
+        sys = with_output_map(nplr_decompose(n), seed)
+        half = kernel_genfn(sys, dt, l)
+        full = kernel_genfn(replace(sys, real_response=False), dt, l)
+        naive = kernel_naive(discretize_bilinear(sys, dt), l)
+        assert half.residual_imag == 0.0
+        assert rel_linf(half.taps, naive.taps) < 1e-8
+        assert rel_linf(half.taps, full.taps) < 1e-12
+
+    def test_flag_set_by_constructors_only(self):
+        sys = nplr_decompose(5, seed=1)
+        assert sys.real_response
+        assert with_output_map(sys, 2).real_response
+        bare = DplrSystem(lam=sys.lam, p=sys.p, b=sys.b, c=sys.c, basis=sys.basis)
+        assert not bare.real_response
+        assert not with_output_map(bare, 2).real_response  # a basis alone proves nothing
+
+    def test_pole_on_a_half_grid_node(self):
+        # N = 64 gives blocks of 1024 nodes; node 1500 of 4096 lies in the second
+        # block of the 2049-node half grid
+        omega = unit_roots(4096, 2049)
+        lam = nplr_decompose(64).lam.copy()
+        lam[17] = ((2.0 / 0.01) * (1.0 - omega) / (1.0 + omega))[1500]
+        sys = replace(nplr_decompose(64), lam=lam)
+        assert sys.real_response
+        with pytest.raises(PoleError):
+            kernel_genfn(sys, 0.01, 4096)
 
 
 class TestGridErrors:
