@@ -1,16 +1,14 @@
 """Liquid state-space kernels: LegS/DPLR initialization, frequency-domain
 kernel generation, input-correlation kernels, oracles, and a training demo."""
 
-from .conv import SequenceBatch, causal_conv, causal_conv_direct, causal_conv_fft, recurrent_s4
+from .conv import SequenceBatch, causal_conv, causal_conv_direct, recurrent_s4
 from .kernel import Kernel, kernel_genfn, kernel_naive, truncate_generating_c
 from .liquid import (
     LiquidKernelSet,
-    apply_liquid,
     build_liquid_kernels,
     correlation_signals,
     default_window,
     liquid_expansion_oracle,
-    liquid_kernel_kb,
     liquid_oracle,
     recurrent_liquid,
 )
@@ -48,11 +46,9 @@ __all__ = [
     "SequenceBatch",
     "SequenceClassifier",
     "SyntheticTask",
-    "apply_liquid",
     "build_liquid_kernels",
     "causal_conv",
     "causal_conv_direct",
-    "causal_conv_fft",
     "correlation_signals",
     "default_window",
     "discretize_bilinear",
@@ -66,7 +62,6 @@ __all__ = [
     "kernel_naive",
     "legs_init_vectors",
     "liquid_expansion_oracle",
-    "liquid_kernel_kb",
     "liquid_oracle",
     "nplr_decompose",
     "recurrent_liquid",

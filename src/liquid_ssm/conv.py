@@ -2,8 +2,9 @@
 
 ``causal_conv`` sums the convolutions of several (taps, signal) orders and
 picks accumulated banded matmuls or one summed-spectrum FFT from the input
-size. The FFT path and the direct O(L^2) summation are deliberately independent
-implementations of the same contract; tests hold them to 1e-10 of each other.
+size. Both branches and the direct O(L^2) summation ``causal_conv_direct`` are
+deliberately independent implementations of the same contract; tests hold
+them to 1e-10 of each other.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
 
 
-def _operands(taps: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _checked_taps(taps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``taps`` as a float array, after checking its shape against the signal ``u``."""
     taps = np.asarray(taps, dtype=float)
-    u = np.asarray(u, dtype=float)
     if taps.ndim not in (1, 2) or taps.shape[-1] == 0:
         raise DimensionError("taps must be a nonempty (L_k,) or (H, L_k) array")
     if taps.ndim == 2 and (u.ndim < 2 or u.shape[-2] != taps.shape[0]):
         raise DimensionError(f"per-feature taps {taps.shape} need u shaped (..., {taps.shape[0]}, L)")
-    return taps, u
+    return taps
 
 
 def _spectral_sum(pairs: Iterable[tuple[np.ndarray, np.ndarray]], l: int, lk: int) -> np.ndarray:
@@ -65,19 +66,6 @@ def _spectral_sum(pairs: Iterable[tuple[np.ndarray, np.ndarray]], l: int, lk: in
         return spectrum
 
     return np.fft.irfft(reduce(iadd, (term(t, x) for t, x in pairs)), n=size)[..., :l]
-
-
-def causal_conv_fft(taps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Non-circular causal convolution, truncated to the input length.
-
-    y[k] = sum_{d=0}^{min(k, L_k - 1)} taps[d] * u[k - d]
-
-    Works on the last axis. Taps are either one (L_k,) sequence, against
-    which the leading axes of ``u`` broadcast, or per-feature (H, L_k) taps
-    against ``u`` shaped (..., H, L).
-    """
-    taps, u = _operands(taps, u)
-    return _spectral_sum([(taps, u)], u.shape[-1], taps.shape[-1])
 
 
 @lru_cache(maxsize=32)
@@ -102,20 +90,24 @@ def _band_product(taps: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterable[np.ndarray]) -> np.ndarray:
-    """Summed causal convolution sum_p taps_p * u_p, each term with the contract of ``causal_conv_fft``.
+    """Summed non-circular causal convolution sum_p taps_p * u_p, truncated to the input length.
 
-    ``taps`` holds one (L_k,) or (H, L_k) tap set per order and ``u`` the
-    matching signals of one shape, possibly from a generator; one tap array
-    and one signal are the one-order case. Accumulates products with the
-    (L, L) Toeplitz bands when L <= 64, or when L <= 256 and at least L
-    sequences share each band (per-feature taps give every feature its own
-    band); otherwise sums spectra.
+    Each term is y[k] = sum_{d=0}^{min(k, L_k - 1)} taps[d] * u[k - d] along
+    the last axis. ``taps`` holds one tap set per order: either one (L_k,)
+    sequence, against which the leading axes of the signal broadcast, or
+    per-feature (H, L_k) taps against a signal shaped (..., H, L). ``u``
+    holds the matching signals of one shape, possibly from a generator; one
+    tap array and one signal are the one-order case.
+
+    Accumulates products with the (L, L) Toeplitz bands when L <= 64, or
+    when L <= 256 and at least L sequences share each band (per-feature taps
+    give every feature its own band); otherwise sums spectra.
     """
     if isinstance(taps, np.ndarray):
         taps, u = (taps,), (u,)
     signals = iter(u)
     first = np.asarray(next(signals), dtype=float)
-    taps = [_operands(t, first)[0] for t in taps]
+    taps = [_checked_taps(t, first) for t in taps]
     rest = (np.asarray(x, dtype=float) for x in signals)
     pairs = zip(taps, itertools.chain([first], rest), strict=True)
     l = first.shape[-1]
@@ -126,7 +118,7 @@ def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterabl
 
 
 def causal_conv_direct(taps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Direct-summation twin of ``causal_conv_fft`` (1-D only, O(L^2))."""
+    """Direct-summation twin of one order of ``causal_conv`` (1-D only, O(L^2))."""
     taps = np.asarray(taps, dtype=float)
     u = np.asarray(u, dtype=float)
     l = u.shape[0]

@@ -10,8 +10,9 @@ the kernel carries a short window of taps. Two kernel modes exist:
   collapses every tap to the constant kappa_p = <c_bar, b_bar ** p>.
 
 ``build_liquid_kernels`` (through its core ``_liquid_kernels``, which takes a
-discretized system) alone checks a mode, an order and a window; the
-``LiquidKernelSet`` it returns derives its maximum order and window from the taps.
+discretized system) alone checks a mode, an order and a window. The kernels
+enter a layer's output as orders 2..P of the one sum that
+``pipeline.forward_liquid_s4`` computes with ``conv.causal_conv``.
 
 Brute-force companions (`liquid_oracle`, its PB form
 `liquid_oracle_pb_reference`, `liquid_expansion_oracle`) pin the semantics at
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice, product
+from itertools import accumulate, product
 
 import numpy as np
 
-from .conv import _recurrence, causal_conv
+from .conv import _recurrence
 from .errors import DimensionError
 from .kernel import _impulse_response
 from .ssm import DiscreteSystem, DplrSystem, discretize_bilinear
@@ -51,14 +52,6 @@ class LiquidKernelSet:
     def __post_init__(self):
         if not self.taps:
             raise DimensionError("need the taps of at least one order")
-
-    @property
-    def max_order(self) -> int:
-        return len(self.taps) + 1
-
-    @property
-    def window(self) -> int:
-        return len(self.taps[0])
 
     def order_taps(self, p: int) -> np.ndarray:
         return self.taps[p - 2]
@@ -97,24 +90,6 @@ def _pb_taps_discrete(d: DiscreteSystem, p: int, window: int) -> np.ndarray:
     return np.full(window, kappa)
 
 
-def liquid_kernel_kb(
-    sys: DplrSystem, dt: float, p: int, window: int, ordering: str = "lag"
-) -> np.ndarray:
-    """Order-p KB liquid kernel taps.
-
-    ``ordering='lag'`` returns tap(d) = <c_bar, a_bar^d (b_bar ** p)> for
-    d = 0..window-1; ``ordering='descending'`` returns the same taps under the
-    backward-identity flip (largest transition power first). The two are exact
-    reverses of one another.
-    """
-    taps = build_liquid_kernels(sys, dt, "kb", p, window).order_taps(p)
-    if ordering == "lag":
-        return taps
-    if ordering == "descending":
-        return taps[::-1].copy()
-    raise DimensionError(f"unknown ordering {ordering!r}")
-
-
 def build_liquid_kernels(
     sys: DplrSystem, dt: float, mode: str, max_order: int, window: int
 ) -> LiquidKernelSet:
@@ -134,17 +109,6 @@ def _liquid_kernels(d: DiscreteSystem, mode: str, max_order: int, window: int) -
     complex_taps = [compute(d, p, window) for p in range(2, max_order + 1)]
     residual = max(float(np.max(np.abs(t.imag))) for t in complex_taps)
     return LiquidKernelSet(taps=tuple(t.real for t in complex_taps), residual_imag=residual)
-
-
-def _check_window(kset: LiquidKernelSet, l: int):
-    if kset.window > l:
-        raise DimensionError(f"window {kset.window} exceeds sequence length {l}")
-
-
-def apply_liquid(kset: LiquidKernelSet, u: np.ndarray) -> np.ndarray:
-    """Total liquid contribution along the last axis: sum over orders of taps_p * corr_p(u)."""
-    _check_window(kset, np.shape(u)[-1])
-    return causal_conv(kset.taps, islice(correlation_signals(u, kset.max_order), 1, None))
 
 
 def liquid_oracle(

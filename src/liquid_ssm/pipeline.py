@@ -10,7 +10,7 @@ import numpy as np
 from .conv import causal_conv
 from .errors import DimensionError
 from .kernel import _genfn_kernel
-from .liquid import _check_window, _liquid_kernels, correlation_signals, default_window
+from .liquid import _liquid_kernels, correlation_signals, default_window
 from .ssm import DplrSystem, discretize_bilinear, init_dt_schedule, nplr_decompose, with_output_map
 
 MODES = ("kb", "pb", "none")
@@ -39,9 +39,10 @@ def forward_liquid_s4(
     d = discretize_bilinear(sys, dt)
     taps = [_genfn_kernel(sys, d, l).taps]
     if mode != "none":
-        kset = _liquid_kernels(d, mode, max_order, default_window(l) if window is None else window)
-        _check_window(kset, l)
-        taps += kset.taps
+        window = default_window(l) if window is None else window
+        if window > l:  # causal_conv would accept the longer taps
+            raise DimensionError(f"window {window} exceeds sequence length {l}")
+        taps += _liquid_kernels(d, mode, max_order, window).taps
     return causal_conv(taps, correlation_signals(u, len(taps)))
 
 

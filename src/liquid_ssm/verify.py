@@ -13,13 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conv import causal_conv_direct, causal_conv_fft, recurrent_s4
+from .conv import causal_conv, causal_conv_direct, recurrent_s4
 from .kernel import _rel_linf, kernel_genfn, kernel_naive
 from .liquid import (
-    apply_liquid,
     build_liquid_kernels,
+    correlation_signals,
     liquid_expansion_oracle,
-    liquid_kernel_kb,
     liquid_oracle,
     liquid_oracle_pb_reference,
     recurrent_liquid,
@@ -130,8 +129,8 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     results.append(_result("impulse_response_equals_taps", res, 1e-12))
 
     taps = rng.normal(0.0, 1.0, 24)
-    u = rng.normal(0.0, 1.0, 128)
-    res = float(np.max(np.abs(causal_conv_fft(taps, u) - causal_conv_direct(taps, u))))
+    u = rng.normal(0.0, 1.0, 128)  # one sequence longer than 64 samples: causal_conv's FFT branch
+    res = float(np.max(np.abs(causal_conv(taps, u) - causal_conv_direct(taps, u))))
     results.append(_result("fft_conv_matches_direct_sum", res, 1e-10))
 
     u = rng.normal(0.0, 1.0, 64)
@@ -139,10 +138,13 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     results.append(_result("forward_none_matches_recurrent", res, 1e-8))
 
     # -- liquid kernels -------------------------------------------------------
-    lag = liquid_kernel_kb(sys, 0.05, 3, 12, ordering="lag")
-    desc = liquid_kernel_kb(sys, 0.05, 3, 12, ordering="descending")
-    res = float(np.max(np.abs(desc[::-1] - lag)))
-    results.append(_result("liquid_flip_identity", res, 0.0))
+    kset = build_liquid_kernels(sys, 0.05, "kb", 3, 12)
+    res = max(
+        abs(kset.order_taps(p)[i] - np.vdot(d.c_bar, np.linalg.matrix_power(d.a_bar, i) @ d.b_bar**p).real)
+        for p in (2, 3)
+        for i in range(12)
+    )
+    results.append(_result("kb_taps_match_dense_powers", res, 1e-12))
 
     ident = DiscreteSystem(a_bar=np.eye(4), b_bar=d.b_bar[:4], c_bar=d.c_bar[:4], dt=0.05)
     res = max(
@@ -154,9 +156,8 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     res = 0.0
     u = rng.normal(0.0, 1.0, 32)
     for mode, oracle in (("kb", liquid_oracle), ("pb", liquid_oracle_pb_reference)):
-        kset = build_liquid_kernels(sys, 0.05, mode, 4, 8)
-        full = causal_conv_fft(kernel_naive(d, 32).taps, u) + apply_liquid(kset, u)
-        res = max(res, float(np.max(np.abs(full - oracle(d, u, 4, 8)))))
+        got = forward_liquid_s4(sys, 0.05, u, mode, 4, 8)
+        res = max(res, float(np.max(np.abs(got - oracle(d, u, 4, 8)))))
     results.append(_result("kernel_path_matches_liquid_oracle", res, 1e-10))
 
     sys3 = with_output_map(nplr_decompose(3, seed=seed), seed + 2)
@@ -168,12 +169,13 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     res = 0.0
     u = rng.normal(0.0, 1.0, 24)
     for p in (2, 3):
-        kset = build_liquid_kernels(sys, 0.05, "kb", p, 6)
-        # orders below p zeroed: the set is homogeneous of degree p
-        single = replace(kset, taps=tuple(np.zeros_like(t) for t in kset.taps[:-1]) + kset.taps[-1:])
-        base = apply_liquid(single, u)
+        # the order-p term alone is homogeneous of degree p in the input
+        taps = build_liquid_kernels(sys, 0.05, "kb", p, 6).order_taps(p)
+        *_, corr = correlation_signals(u, p)
+        base = causal_conv(taps, corr)
         for alpha in (2.0, -1.0):
-            res = max(res, float(np.max(np.abs(apply_liquid(single, alpha * u) - alpha**p * base))))
+            *_, corr = correlation_signals(alpha * u, p)
+            res = max(res, float(np.max(np.abs(causal_conv(taps, corr) - alpha**p * base))))
     results.append(_result("liquid_degree_scaling", res, 1e-9))
 
     return results

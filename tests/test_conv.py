@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from liquid_ssm import verify
 from liquid_ssm.conv import (
     SequenceBatch,
+    causal_conv,
     causal_conv_direct,
-    causal_conv_fft,
     next_pow2,
     recurrent_s4,
 )
@@ -12,60 +13,103 @@ from liquid_ssm.errors import DimensionError, DivergedStateError
 from liquid_ssm.kernel import kernel_naive
 from liquid_ssm.ssm import DiscreteSystem, discretize_bilinear, nplr_decompose
 
+from helpers import count_irfft
+
+# one single-sequence length on each side of causal_conv's band/FFT switch
+LENGTHS = (48, 100)
+
 
 def scalar_system(a, b, c, dt=1.0):
     return DiscreteSystem(a_bar=np.array([[a]]), b_bar=np.array([b]), c_bar=np.array([c]), dt=dt)
 
 
-class TestCausalConv:
-    def test_identity_kernel(self):
-        u = np.array([3.0, -1.0, 2.0, 0.5])
-        assert causal_conv_fft(np.array([1.0]), u) == pytest.approx(u)
+@pytest.fixture
+def conv(monkeypatch):
+    """``causal_conv`` that also returns whether it took the FFT branch."""
+    calls = count_irfft(monkeypatch)
 
-    def test_unit_delay(self):
-        y = causal_conv_fft(np.array([0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
-        assert y == pytest.approx([0.0, 1.0, 2.0])
+    def run(taps, u):
+        calls.clear()
+        return causal_conv(np.asarray(taps, dtype=float), u), bool(calls)
+
+    return run
+
+
+class TestCausalConv:
+    def test_identity_kernel(self, conv):
+        for l in LENGTHS:
+            u = np.random.default_rng(l).normal(0.0, 1.0, l)
+            y, fft = conv([1.0], u)
+            assert fft == (l > 64)
+            assert y == pytest.approx(u)
+
+    def test_unit_delay(self, conv):
+        for l in LENGTHS:
+            u = np.arange(1.0, l + 1.0)
+            y, fft = conv([0.0, 1.0], u)
+            assert fft == (l > 64)
+            assert y == pytest.approx(np.concatenate([[0.0], u[:-1]]))
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(0)
         k = rng.normal(0.0, 1.0, 37)
         u = rng.normal(0.0, 1.0, 128)
-        assert np.max(np.abs(causal_conv_fft(k, u) - causal_conv_direct(k, u))) < 1e-10
+        assert np.max(np.abs(causal_conv(k, u) - causal_conv_direct(k, u))) < 1e-10
 
     @pytest.mark.parametrize("l", [16, 300, 1024, 4096])
     def test_matches_direct_sum_sizes(self, l):
         rng = np.random.default_rng(l)
         k = rng.normal(0.0, 1.0, min(l, 64))
         u = rng.normal(0.0, 1.0, l)
-        assert np.max(np.abs(causal_conv_fft(k, u) - causal_conv_direct(k, u))) < 1e-10
+        assert np.max(np.abs(causal_conv(k, u) - causal_conv_direct(k, u))) < 1e-10
 
-    def test_kernel_longer_than_input(self):
-        k = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        u = np.array([1.0, 1.0])
-        assert causal_conv_fft(k, u) == pytest.approx(causal_conv_direct(k, u))
+    def test_kernel_longer_than_input(self, conv):
+        for l in (2,) + LENGTHS:
+            k = np.arange(1.0, l + 4.0)
+            u = np.random.default_rng(l).normal(0.0, 1.0, l)
+            y, fft = conv(k, u)
+            assert fft == (l > 64)
+            assert y == pytest.approx(causal_conv_direct(k, u))
 
-    def test_batched_last_axis(self):
+    def test_batched_last_axis(self, conv):
         rng = np.random.default_rng(1)
         k = rng.normal(0.0, 1.0, 8)
-        u = rng.normal(0.0, 1.0, (5, 3, 32))
-        batched = causal_conv_fft(k, u)
-        for i in range(5):
-            for j in range(3):
-                assert batched[i, j] == pytest.approx(causal_conv_fft(k, u[i, j]))
+        for l in LENGTHS:
+            u = rng.normal(0.0, 1.0, (5, 3, l))
+            batched, fft = conv(k, u)
+            assert fft == (l > 64)
+            for i in range(5):
+                for j in range(3):
+                    assert batched[i, j] == pytest.approx(causal_conv_direct(k, u[i, j]))
 
-    def test_causality_perturbation(self):
+    def test_causality_perturbation(self, conv):
         rng = np.random.default_rng(2)
         k = rng.normal(0.0, 1.0, 16)
-        u = rng.normal(0.0, 1.0, 64)
-        y = causal_conv_fft(k, u)
-        u2 = u.copy()
-        u2[40:] += rng.normal(0.0, 10.0, 24)
-        y2 = causal_conv_fft(k, u2)
-        assert y2[:40] == pytest.approx(y[:40], abs=1e-12)
+        for l in LENGTHS:
+            cut = l * 5 // 8
+            u = rng.normal(0.0, 1.0, l)
+            y, fft = conv(k, u)
+            assert fft == (l > 64)
+            u2 = u.copy()
+            u2[cut:] += rng.normal(0.0, 10.0, l - cut)
+            y2, _ = conv(k, u2)
+            assert y2[:cut] == pytest.approx(y[:cut], abs=1e-12)
+
+    def test_verify_conv_check_takes_fft_branch(self, monkeypatch, conv):
+        # fft_conv_matches_direct_sum is the suite's one convolution of a 128-sample signal
+        branches = {}
+
+        def recorded(taps, u):
+            y, branches[np.shape(u)[-1]] = conv(taps, u)
+            return y
+
+        monkeypatch.setattr(verify, "causal_conv", recorded)
+        verify.run_suite(0)
+        assert branches[128] is True
 
     def test_empty_kernel_rejected(self):
         with pytest.raises(DimensionError):
-            causal_conv_fft(np.array([]), np.ones(4))
+            causal_conv(np.array([]), np.ones(4))
 
     def test_next_pow2(self):
         assert [next_pow2(v) for v in (1, 2, 3, 17, 64)] == [1, 2, 4, 32, 64]

@@ -1,23 +1,25 @@
 """Property tests for the batched forward engine.
 
-Each batched primitive is held to its row-by-row form: ``causal_conv`` and
-``causal_conv_fft`` to the direct summation (the order-summed ``causal_conv``
-to a sum of direct summations), ``correlation_signals`` and
-``forward_liquid_s4`` to stacks of 1-D calls. Sequence lengths straddle the
-L = 64 switch between the banded and the FFT path; a table of shapes pins the
-batch-size rule between L = 64 and L = 256.
+Each batched primitive is held to its row-by-row form: ``causal_conv`` to
+the direct summation (its order-summed form to a sum of direct summations),
+``correlation_signals`` and ``forward_liquid_s4`` to stacks of 1-D calls.
+Sequence lengths straddle the L = 64 switch between the banded and the FFT
+path, so both branches are drawn for shared and per-feature taps; a table of
+shapes pins the batch-size rule between L = 64 and L = 256.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liquid_ssm.conv import causal_conv, causal_conv_direct, causal_conv_fft, next_pow2
+from liquid_ssm.conv import causal_conv, causal_conv_direct, next_pow2
 from liquid_ssm.errors import DimensionError
 from liquid_ssm.liquid import correlation_signals
 from liquid_ssm.pipeline import forward_liquid_s4
 from liquid_ssm.ssm import nplr_decompose, with_output_map
 from liquid_ssm.kernel import _rel_linf
+
+from helpers import count_irfft
 
 PROPERTY = settings(max_examples=25, deadline=None)
 lengths = st.one_of(st.integers(1, 64), st.integers(65, 400))
@@ -43,34 +45,16 @@ def test_causal_conv_shared_taps_matches_direct(l, lk, batch, seed):
     h=st.integers(1, 4),
     batch=st.integers(1, 3),
     seed=seeds,
-    conv=st.sampled_from([causal_conv, causal_conv_fft]),
 )
-def test_per_feature_taps_match_direct(l, lk, h, batch, seed, conv):
+def test_per_feature_taps_match_direct(l, lk, h, batch, seed):
     rng = np.random.default_rng(seed)
     taps = rng.normal(0.0, 1.0, (h, lk))
     u = rng.normal(0.0, 1.0, (batch, h, l))
-    got = conv(taps, u)
+    got = causal_conv(taps, u)
     assert got.shape == u.shape
     for b in range(batch):
         for i in range(h):
             assert np.max(np.abs(got[b, i] - causal_conv_direct(taps[i], u[b, i]))) < 1e-10
-
-
-def count_irfft(monkeypatch, size: int | None = None) -> list:
-    """Record each ``np.fft.irfft`` call, the one inverse transform of the FFT branch.
-
-    With ``size``, only calls of that transform size count, so a kernel's own
-    half-spectrum transform is told apart from the convolution's.
-    """
-    calls, irfft = [], np.fft.irfft
-
-    def counted(*a, **k):
-        if size is None or k.get("n") == size:
-            calls.append(1)
-        return irfft(*a, **k)
-
-    monkeypatch.setattr(np.fft, "irfft", counted)
-    return calls
 
 
 @pytest.mark.parametrize(
@@ -106,12 +90,11 @@ def test_size_rule_picks_band_and_matches_direct(monkeypatch, l, rows, uses_band
         assert np.max(np.abs(one - got[:, :1])) < 1e-10
 
 
-@pytest.mark.parametrize("conv", [causal_conv, causal_conv_fft])
-def test_per_feature_taps_need_matching_feature_axis(conv):
+def test_per_feature_taps_need_matching_feature_axis():
     with pytest.raises(DimensionError):
-        conv(np.ones((3, 4)), np.ones((2, 16)))
+        causal_conv(np.ones((3, 4)), np.ones((2, 16)))
     with pytest.raises(DimensionError):
-        conv(np.ones((3, 4)), np.ones(16))
+        causal_conv(np.ones((3, 4)), np.ones(16))
 
 
 @PROPERTY

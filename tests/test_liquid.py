@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from liquid_ssm import kernel, liquid, pipeline
-from liquid_ssm.conv import causal_conv, causal_conv_fft, recurrent_s4
+from liquid_ssm.conv import causal_conv, recurrent_s4
 from liquid_ssm.errors import DimensionError, DivergedStateError
 from liquid_ssm.kernel import kernel_genfn, kernel_naive
 from liquid_ssm.liquid import (
-    apply_liquid,
     build_liquid_kernels,
     correlation_signals,
     default_window,
     liquid_expansion_oracle,
-    liquid_kernel_kb,
     liquid_oracle,
     recurrent_liquid,
 )
@@ -21,14 +19,21 @@ from liquid_ssm.ssm import DiscreteSystem, DplrSystem, discretize_bilinear, nplr
 from helpers import scalar_discrete
 
 
-def scalar_dplr(a_cont, b, c):
-    """Scalar continuous system with p = 0 (diagonal only)."""
-    return DplrSystem(lam=[a_cont], p=[0.0], b=[b], c=[c])
-
-
 def correlation_signal(u, p):
     """The order-p signal, the last one ``correlation_signals`` yields."""
     return list(correlation_signals(u, p))[-1]
+
+
+def kernel_path(d, u, kset):
+    """``forward_liquid_s4``'s one-call sum, with the oracle's main kernel as order 1."""
+    taps = [kernel_naive(d, len(u)).taps, *kset.taps]
+    return causal_conv(taps, correlation_signals(u, len(taps)))
+
+
+def liquid_part(kset, u):
+    """Orders 2..P of the same sum: the liquid kernels alone on their correlation signals."""
+    _, *signals = correlation_signals(u, len(kset.taps) + 1)
+    return causal_conv(kset.taps, signals)
 
 
 class TestCorrelationSignal:
@@ -61,28 +66,20 @@ class TestKbKernel:
     def test_scalar_lag_ordering(self):
         a, b, c = 0.7, 1.3, -0.5
         d = scalar_discrete(a, b, c)
-        sys = scalar_dplr(0.0, 0.0, 0.0)  # unused; use the discrete helper below
-
-        taps = liquid_kernel_kb_from_discrete(d, 2, 3)
+        taps = kb_taps(d, 2, 3)
         assert taps == pytest.approx([c * b**2, c * a * b**2, c * a**2 * b**2])
 
-    def test_descending_is_flip(self):
-        sys = nplr_decompose(5, seed=0)
-        lag = liquid_kernel_kb(sys, 0.1, 3, 9, ordering="lag")
-        desc = liquid_kernel_kb(sys, 0.1, 3, 9, ordering="descending")
-        assert np.array_equal(desc[::-1], lag)
-
-    def test_descending_matches_matrix_powers(self):
-        # independent evaluation of the descending form via dense powers
+    def test_lag_taps_match_matrix_powers(self):
+        # independent evaluation of the lag-ordered taps via dense powers
         sys = nplr_decompose(4, seed=1)
         d = discretize_bilinear(sys, 0.2)
         window, p = 6, 2
-        desc = liquid_kernel_kb(sys, 0.2, p, window, ordering="descending")
+        taps = build_liquid_kernels(sys, 0.2, "kb", p, window).order_taps(p)
         want = [
-            np.vdot(d.c_bar, np.linalg.matrix_power(d.a_bar, window - 1 - i) @ d.b_bar**p).real
+            np.vdot(d.c_bar, np.linalg.matrix_power(d.a_bar, i) @ d.b_bar**p).real
             for i in range(window)
         ]
-        assert desc == pytest.approx(want, abs=1e-12)
+        assert taps == pytest.approx(want, abs=1e-12)
 
     def test_identity_transition_equals_pb(self):
         rng = np.random.default_rng(2)
@@ -101,16 +98,17 @@ class TestKbKernel:
 
     def test_zero_input_map_annihilates(self):
         sys = DplrSystem(lam=[-1.0, -2.0], p=[0.1, 0.2], b=[0.0, 0.0], c=[1.0, 1.0])
-        assert liquid_kernel_kb(sys, 0.1, 3, 4) == pytest.approx(np.zeros(4))
+        for taps in build_liquid_kernels(sys, 0.1, "kb", 3, 4).taps:
+            assert taps == pytest.approx(np.zeros(4))
 
     def test_invalid_args(self):
         sys = nplr_decompose(2)
         with pytest.raises(DimensionError):
-            liquid_kernel_kb(sys, 0.1, 1, 4)
+            build_liquid_kernels(sys, 0.1, "kb", 1, 4)
         with pytest.raises(DimensionError):
-            liquid_kernel_kb(sys, 0.1, 2, 0)
+            build_liquid_kernels(sys, 0.1, "kb", 2, 0)
         with pytest.raises(DimensionError):
-            liquid_kernel_kb(sys, 0.1, 2, 4, ordering="sideways")
+            build_liquid_kernels(sys, 0.1, "sideways", 2, 4)
 
 
 class TestPbKernel:
@@ -133,6 +131,8 @@ class TestPbKernel:
 
 
 class TestApplyLiquid:
+    """The liquid kernels applied to the input: orders 2..P of the one sum."""
+
     def test_order2_matches_unrolled_term(self):
         # output[1] must equal c b^2 u0 u1, the first cross term of the
         # unrolled liquid recurrence
@@ -140,30 +140,31 @@ class TestApplyLiquid:
         d = scalar_discrete(a, b, c)
         u = np.array([0.8, -1.2])
         kset = kernel_set_from_discrete(d, "kb", 2, 2)
-        out = apply_liquid(kset, u)
+        out = liquid_part(kset, u)
         assert out[1] == pytest.approx(c * b**2 * u[0] * u[1])
 
     def test_zero_input(self):
         sys = nplr_decompose(4, seed=0)
         kset = build_liquid_kernels(sys, 0.1, "pb", 3, 4)
-        assert apply_liquid(kset, np.zeros(16)) == pytest.approx(np.zeros(16))
+        assert liquid_part(kset, np.zeros(16)) == pytest.approx(np.zeros(16))
 
     def test_single_nonzero_sample(self):
         sys = nplr_decompose(4, seed=0)
         kset = build_liquid_kernels(sys, 0.1, "kb", 4, 8)
         u = np.zeros(32)
         u[13] = 2.5
-        assert apply_liquid(kset, u) == pytest.approx(np.zeros(32))
+        assert liquid_part(kset, u) == pytest.approx(np.zeros(32))
 
     def test_degree_scaling(self):
         rng = np.random.default_rng(3)
         sys = with_output_map(nplr_decompose(5, seed=1), 2)
         u = rng.normal(size=24)
         for p in (2, 3):
-            kset_p = single_order_set(sys, p)
-            base = apply_liquid(kset_p, u)
+            # the order-p term alone is homogeneous of degree p
+            taps = build_liquid_kernels(sys, 0.1, "kb", p, 6).order_taps(p)
+            base = causal_conv(taps, correlation_signal(u, p))
             for alpha in (2.0, -1.0):
-                scaled = apply_liquid(kset_p, alpha * u)
+                scaled = causal_conv(taps, correlation_signal(alpha * u, p))
                 assert np.array_equal(scaled, alpha**p * base)
 
 
@@ -179,7 +180,7 @@ class TestLiquidOracle:
             window = int(rng.integers(1, 17))
             max_order = int(rng.integers(2, 5))
             kset = kernel_set_from_discrete(d, "kb", max_order, window)
-            combined = causal_conv_fft(kernel_naive(d, 16).taps, u) + apply_liquid(kset, u)
+            combined = kernel_path(d, u, kset)
             assert np.max(np.abs(combined - liquid_oracle(d, u, max_order, window))) < 1e-10
 
     def test_vector_system_matches_kernel_path(self):
@@ -188,7 +189,7 @@ class TestLiquidOracle:
         d = discretize_bilinear(sys, 0.08)
         u = rng.normal(size=48)
         kset = build_liquid_kernels(sys, 0.08, "kb", 4, 12)
-        combined = causal_conv_fft(kernel_naive(d, 48).taps, u) + apply_liquid(kset, u)
+        combined = kernel_path(d, u, kset)
         assert np.max(np.abs(combined - liquid_oracle(d, u, 4, 12))) < 1e-10
 
     def test_order_one_equals_recurrent(self):
@@ -251,7 +252,7 @@ class TestConsecutiveRestriction:
         d = scalar_discrete(a, b, c)
         u = rng.normal(size=3)
         kset = kernel_set_from_discrete(d, "kb", 2, 3)
-        kernel_path = causal_conv_fft(kernel_naive(d, 3).taps, u) + apply_liquid(kset, u)
+        kernel_sum = kernel_path(d, u, kset)
         rec = recurrent_liquid(d, u)
         missing = np.array(
             [
@@ -260,7 +261,7 @@ class TestConsecutiveRestriction:
                 c * b * (a * b) * u[0] * u[2] + c * b**3 * u[0] * u[1] * u[2],
             ]
         )
-        assert rec - kernel_path == pytest.approx(missing, abs=1e-12)
+        assert rec - kernel_sum == pytest.approx(missing, abs=1e-12)
 
 
 class TestForwardLiquid:
@@ -285,7 +286,7 @@ class TestForwardLiquid:
         u = np.random.default_rng(8).normal(size=32)
         kset = build_liquid_kernels(sys, 0.1, "pb", 2, 8)
         main = lambda v: forward_liquid_s4(sys, 0.1, v, mode="none")
-        liq = lambda v: apply_liquid(kset, v)
+        liq = lambda v: liquid_part(kset, v)
         assert main(-u) == pytest.approx(-main(u), abs=1e-12)
         assert liq(-u) == pytest.approx(liq(u), abs=1e-12)
 
@@ -293,6 +294,15 @@ class TestForwardLiquid:
         sys = nplr_decompose(2)
         with pytest.raises(DimensionError):
             forward_liquid_s4(sys, 0.1, np.zeros(8), mode="both")
+
+    @pytest.mark.parametrize("mode", ["kb", "pb"])
+    def test_window_bound(self, mode):
+        # causal_conv accepts taps longer than the signal, so the bound is checked here
+        sys = with_output_map(nplr_decompose(4, seed=2), 3)
+        u = np.random.default_rng(10).normal(size=16)
+        assert forward_liquid_s4(sys, 0.1, u, mode=mode, window=16).shape == (16,)
+        with pytest.raises(DimensionError, match="window 17 exceeds sequence length 16"):
+            forward_liquid_s4(sys, 0.1, u, mode=mode, window=17)
 
     def test_kb_discretizes_once(self, monkeypatch):
         sys = with_output_map(nplr_decompose(8, seed=1), 2)
@@ -332,10 +342,6 @@ def pb_taps(d, p, window):
     return _pb_taps_discrete(d, p, window).real
 
 
-def liquid_kernel_kb_from_discrete(d, p, window):
-    return kb_taps(d, p, window)
-
-
 def kernel_set_from_discrete(d, mode, max_order, window):
     from liquid_ssm.liquid import LiquidKernelSet
 
@@ -344,13 +350,3 @@ def kernel_set_from_discrete(d, mode, max_order, window):
         taps=tuple(compute(d, p, window) for p in range(2, max_order + 1)),
         residual_imag=0.0,
     )
-
-
-def single_order_set(sys, order):
-    from liquid_ssm.liquid import LiquidKernelSet
-
-    full = build_liquid_kernels(sys, 0.1, "kb", order, 6)
-    taps = tuple(
-        full.order_taps(p) if p == order else np.zeros(6) for p in range(2, order + 1)
-    )
-    return LiquidKernelSet(taps=taps, residual_imag=0.0)
