@@ -30,7 +30,6 @@ from .ssm import (
     init_dt_schedule,
     legs_init_vectors,
     nplr_decompose,
-    with_output_map,
     woodbury_input_map,
 )
 from .verify import CheckResult, run_suite
@@ -69,7 +68,6 @@ __all__ = [
     "run_suite",
     "train_demo",
     "truncate_generating_c",
-    "with_output_map",
     "woodbury_input_map",
 ]
 

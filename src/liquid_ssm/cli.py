@@ -29,7 +29,7 @@ from .kernel import _best_of, _rel_linf, bench_kernel, kernel_genfn, kernel_naiv
 from .liquid import MAX_ORDER, build_liquid_kernels, default_window
 from .model import TASK_NAMES, LayerConfig, ModelStack, SequenceClassifier, SyntheticTask, train_demo
 from .pipeline import MODES, feature_systems, forward_liquid_s4
-from .ssm import DplrSystem, discretize_bilinear, hippo_legs, init_dt_schedule, nplr_decompose
+from .ssm import DEFAULT_DT_MAX, DplrSystem, discretize_bilinear, hippo_legs, init_dt_schedule, nplr_decompose
 from .verify import run_suite
 
 BENCH_LENGTHS = (1024, 2048, 4096, 8192, 16384)
@@ -48,7 +48,7 @@ class RunConfig:
     order: int = 3
     mode: str = "pb"
     dt_min: float | None = None
-    dt_max: float = 0.2
+    dt_max: float = DEFAULT_DT_MAX
     depth: int = 1
     classes: int = 2
     task: str = "adjacent-product-sign"

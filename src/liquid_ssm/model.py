@@ -47,7 +47,7 @@ from .errors import DimensionError, DivergedStateError, ParameterBudgetError
 from .kernel import _krylov
 from .liquid import MAX_ORDER, correlation_signals
 from .pipeline import MODES, feature_systems
-from .ssm import discretize_bilinear, init_dt_schedule
+from .ssm import DEFAULT_DT_MAX, discretize_bilinear, init_dt_schedule
 
 TASK_NAMES = ("adjacent-product-sign", "impulse-memory")
 PARAM_BUDGET = 2000
@@ -66,7 +66,7 @@ class LayerConfig:
     max_order: int = 2
     window: int = 8
     dt_min: float | None = None
-    dt_max: float = 0.2
+    dt_max: float = DEFAULT_DT_MAX
 
     def __post_init__(self):
         if self.features < 1 or self.state_size < 1:
@@ -178,7 +178,6 @@ class SequenceClassifier:
     def __init__(self, stack: ModelStack, seq_length: int, seed: int = 0):
         self.stack = stack
         self.seq_length = int(seq_length)
-        self.seed = int(seed)
         h = stack.features
         rng = np.random.default_rng(seed)
 
@@ -244,9 +243,8 @@ class SequenceClassifier:
         """Pooled features (n, h) of raw sequences u (n, L): lift, every layer, mean over time.
 
         Features never mix before the readout, so a pass over ``channels``
-        alone gives those columns of the all-channel pass: bit-identical
-        whenever ``causal_conv`` picks the same branch at both widths, as it
-        always does at L <= 64.
+        alone gives those columns of the all-channel pass, bit-identical:
+        ``causal_conv`` picks its branch per band, so both widths pick alike.
         """
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != self.seq_length:
@@ -341,8 +339,9 @@ def train_demo(
 ) -> dict:
     """Train by central finite differences with a plain momentum update.
 
-    Refuses models over ``PARAM_BUDGET`` parameters, and raises
-    ``DivergedStateError`` once a loss or the parameters stop being finite.
+    Refuses models over ``PARAM_BUDGET`` parameters or with fewer readout
+    classes than the task, and raises ``DivergedStateError`` once a loss or
+    the parameters stop being finite.
     Deterministic under a fixed seed: the dataset, the probe order, and the
     update rule contain no other randomness, and the forward pass has none.
     Returns a report with per-epoch loss/accuracy, final metrics, the seed,
@@ -350,6 +349,8 @@ def train_demo(
     """
     if model.param_count > PARAM_BUDGET:
         raise ParameterBudgetError(model.param_count, PARAM_BUDGET)
+    if task.n_classes > model.stack.n_classes:
+        raise DimensionError(f"task has {task.n_classes} classes but the readout has {model.stack.n_classes}")
     batch, labels = generate_task(task, n_train, seed)
     u = batch.values[:, :, 0]
     theta = model.get_param_vector()

@@ -11,7 +11,7 @@ from .conv import causal_conv
 from .errors import DimensionError
 from .kernel import _genfn_kernel
 from .liquid import _liquid_kernels, correlation_signals, default_window
-from .ssm import DplrSystem, discretize_bilinear, init_dt_schedule, nplr_decompose, with_output_map
+from .ssm import DplrSystem, discretize_bilinear, init_dt_schedule, nplr_decompose
 
 MODES = ("kb", "pb", "none")
 
@@ -51,13 +51,12 @@ def feature_systems(
 ) -> list[tuple[DplrSystem, float]]:
     """One SISO system per feature: shared LegS core, per-feature output map and step.
 
-    The h systems share the decomposed diagonal-plus-low-rank core; feature i
-    gets output-map seed ``seed + i`` and step ``dts[i]``. Without ``dts``
-    the steps are drawn by ``init_dt_schedule`` over its default range.
+    Feature i is ``nplr_decompose(n, seed + i)`` with step ``dts[i]``, so the
+    h systems share the decomposed diagonal-plus-low-rank core. Without
+    ``dts`` the steps are drawn by ``init_dt_schedule`` over its default range.
     """
-    base = nplr_decompose(n, seed=seed)
     if dts is None:
         dts = init_dt_schedule(h, seed=seed, seq_length=seq_length)
     if np.shape(dts) != (h,):
         raise DimensionError("need one step per feature")
-    return [(with_output_map(base, seed + i), float(dts[i])) for i in range(h)]
+    return [(nplr_decompose(n, seed + i), float(dts[i])) for i in range(h)]

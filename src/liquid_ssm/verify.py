@@ -33,7 +33,6 @@ from .ssm import (
     hippo_legs,
     legs_init_vectors,
     nplr_decompose,
-    with_output_map,
     woodbury_input_map,
 )
 
@@ -108,7 +107,7 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     res, imag_res = 0.0, 0.0
     for i, l in enumerate((16, 64, 256)):
         n = int(rng.integers(1, 33))
-        sys = with_output_map(nplr_decompose(n, seed=seed), seed + 7 * i)
+        sys = nplr_decompose(n, seed=seed + 7 * i)
         dt = float(rng.uniform(1e-3, 0.2))
         naive = kernel_naive(discretize_bilinear(sys, dt), l)
         taps = kernel_genfn(sys, dt, l).taps.copy()
@@ -121,7 +120,7 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     results.append(_result("genfn_matches_naive_kernel", res, 1e-8))
     results.append(_result("legs_kernel_imag_leak", imag_res, 1e-6))
 
-    sys = with_output_map(nplr_decompose(6, seed=seed), seed + 1)
+    sys = nplr_decompose(6, seed=seed + 1)
     d = discretize_bilinear(sys, 0.05)
     impulse = np.zeros(48)
     impulse[0] = 1.0
@@ -160,7 +159,7 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
         res = max(res, float(np.max(np.abs(got - oracle(d, u, 4, 8)))))
     results.append(_result("kernel_path_matches_liquid_oracle", res, 1e-10))
 
-    sys3 = with_output_map(nplr_decompose(3, seed=seed), seed + 2)
+    sys3 = nplr_decompose(3, seed=seed + 2)
     d3 = discretize_bilinear(sys3, 0.15)
     u5 = rng.normal(0.0, 1.0, 5)
     res = float(np.max(np.abs(recurrent_liquid(d3, u5) - liquid_expansion_oracle(d3, u5))))

@@ -37,7 +37,6 @@ from liquid_ssm.ssm import (
     discretize_bilinear,
     hippo_legs,
     nplr_decompose,
-    with_output_map,
 )
 from liquid_ssm.verify import run_suite
 
@@ -123,7 +122,7 @@ def test_criterion_4_unrolled_expansion_fidelity():
     worst = 0.0
     for trial in range(25):
         n = int(rng.integers(1, 4))
-        sys_ = with_output_map(nplr_decompose(n, seed=trial), trial)
+        sys_ = nplr_decompose(n, seed=trial)
         d = discretize_bilinear(sys_, float(rng.uniform(0.02, 0.3)))
         u = rng.normal(size=5)
         worst = max(
@@ -143,7 +142,7 @@ def test_criterion_5_liquid_kernel_semantics():
     worst_oracle = 0.0
     for trial in range(12):
         n = int(rng.integers(1, 9))
-        sys_ = with_output_map(nplr_decompose(n, seed=trial), trial + 50)
+        sys_ = nplr_decompose(n, seed=trial + 50)
         dt = float(rng.uniform(0.02, 0.2))
         d = discretize_bilinear(sys_, dt)
         l = int(rng.choice([16, 32, 64]))
@@ -160,7 +159,7 @@ def test_criterion_5_liquid_kernel_semantics():
                 want = liquid_oracle_pb_reference(d, u, max_order, window)
             worst_oracle = max(worst_oracle, float(np.max(np.abs(got - want))))
 
-    sys_ = with_output_map(nplr_decompose(6, seed=0), 3)
+    sys_ = nplr_decompose(6, seed=3)
     d = discretize_bilinear(sys_, 0.1)
     kset = build_liquid_kernels(sys_, 0.1, "kb", 3, 10)
     worst_powers = max(

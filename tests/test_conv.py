@@ -11,16 +11,12 @@ from liquid_ssm.conv import (
 )
 from liquid_ssm.errors import DimensionError, DivergedStateError
 from liquid_ssm.kernel import kernel_naive
-from liquid_ssm.ssm import DiscreteSystem, discretize_bilinear, nplr_decompose
+from liquid_ssm.ssm import discretize_bilinear, nplr_decompose
 
-from helpers import count_irfft
+from helpers import count_irfft, scalar_discrete
 
 # one single-sequence length on each side of causal_conv's band/FFT switch
 LENGTHS = (48, 100)
-
-
-def scalar_system(a, b, c, dt=1.0):
-    return DiscreteSystem(a_bar=np.array([[a]]), b_bar=np.array([b]), c_bar=np.array([c]), dt=dt)
 
 
 @pytest.fixture
@@ -117,7 +113,7 @@ class TestCausalConv:
 
 class TestRecurrentS4:
     def test_scalar_hand_stepped(self):
-        d = scalar_system(0.5, 1.0, 2.0)
+        d = scalar_discrete(0.5, 1.0, 2.0)
         y = recurrent_s4(d, np.array([1.0, 0.0, 0.0]))
         assert y == pytest.approx([2.0, 1.0, 0.5])
 
@@ -140,7 +136,7 @@ class TestRecurrentS4:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_diverged_state_reports_step(self):
-        d = scalar_system(4.0, 1.0, 1.0)
+        d = scalar_discrete(4.0, 1.0, 1.0)
         with pytest.raises(DivergedStateError) as exc:
             recurrent_s4(d, np.ones(400))
         assert 0 < exc.value.step < 400

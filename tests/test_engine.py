@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from liquid_ssm.conv import causal_conv, causal_conv_direct, next_pow2
 from liquid_ssm.errors import DimensionError
 from liquid_ssm.liquid import correlation_signals
-from liquid_ssm.pipeline import forward_liquid_s4
-from liquid_ssm.ssm import nplr_decompose, with_output_map
+from liquid_ssm.pipeline import feature_systems, forward_liquid_s4
+from liquid_ssm.ssm import nplr_decompose
 from liquid_ssm.kernel import _rel_linf
 
 from helpers import count_irfft
@@ -144,7 +144,7 @@ def test_order_sum_matches_direct(l, orders, per_feature, h, batch, seed):
 
 def test_kb_forward_takes_one_inverse_fft(monkeypatch):
     # main kernel and orders 2..3 share one summed spectrum
-    sys_ = with_output_map(nplr_decompose(8, seed=0), 1)
+    sys_ = nplr_decompose(8, seed=1)
     u = np.random.default_rng(0).normal(0.0, 1.0, (2, 2048))
     calls = count_irfft(monkeypatch, size=next_pow2(2 * 2048 - 1))  # the kernel's own transform is 2048
     forward_liquid_s4(sys_, 0.01, u, "kb", 3)
@@ -161,8 +161,20 @@ def test_kb_forward_takes_one_inverse_fft(monkeypatch):
     seed=st.integers(0, 2**16),
 )
 def test_forward_batched_matches_stacked_rows(l, batch, n, mode, order, seed):
-    sys_ = with_output_map(nplr_decompose(n, seed=seed), seed + 1)
+    sys_ = nplr_decompose(n, seed=seed + 1)
     u = np.random.default_rng(seed).normal(0.0, 1.0, (batch, l))
     got = forward_liquid_s4(sys_, 0.05, u, mode, order)
     want = np.stack([forward_liquid_s4(sys_, 0.05, row, mode, order) for row in u])
     assert _rel_linf(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_feature_systems_are_seeded_decompositions(n):
+    # feature i is nplr_decompose(n, seed + i): the shared core arrays and its own output map
+    dts = np.linspace(0.01, 0.1, 5)
+    for i, (sys_, dt) in enumerate(feature_systems(n, 5, 3, dts)):
+        want = nplr_decompose(n, 3 + i)
+        assert np.array_equal(sys_.c, want.c)
+        assert all(getattr(sys_, name) is getattr(want, name) for name in ("lam", "p", "b", "basis"))
+        assert sys_.real_response
+        assert dt == dts[i]

@@ -13,7 +13,7 @@ from liquid_ssm.kernel import (
     truncate_generating_c,
     unit_roots,
 )
-from liquid_ssm.ssm import DiscreteSystem, DplrSystem, discretize_bilinear, nplr_decompose, with_output_map
+from liquid_ssm.ssm import DiscreteSystem, DplrSystem, discretize_bilinear, nplr_decompose
 
 from helpers import random_stable_system, rel_linf, scalar_discrete as scalar_system
 
@@ -128,7 +128,7 @@ class TestKernelGenfn:
 
     def test_residual_imag_small_for_legs(self):
         for seed in range(4):
-            sys = with_output_map(nplr_decompose(12, seed=0), seed)
+            sys = nplr_decompose(12, seed=seed)
             k = kernel_genfn(sys, 0.1, 128)
             assert k.residual_imag < 1e-6
 
@@ -141,7 +141,7 @@ class TestKernelGenfn:
         n, l = (int(round(np.exp(rng.uniform(0.0, np.log(hi))))) for hi in (512, 4096))
         dt = float(np.exp(rng.uniform(np.log(1e-4), np.log(2.0))))
         if legs:
-            sys = with_output_map(nplr_decompose(n), seed)
+            sys = nplr_decompose(n, seed)
         else:
             sys = random_stable_system(np.random.default_rng(seed), n)
         naive = kernel_naive(discretize_bilinear(sys, dt), l)
@@ -151,7 +151,7 @@ class TestKernelGenfn:
     def test_partial_last_node_block(self, n):
         # at N = 100 the 8192 nodes split into blocks of 655 with a partial
         # last one; at N = 3 one partial block holds them all
-        sys = with_output_map(nplr_decompose(n), 1)
+        sys = nplr_decompose(n, 1)
         naive = kernel_naive(discretize_bilinear(sys, 0.01), 8192)
         assert rel_linf(kernel_genfn(sys, 0.01, 8192).taps, naive.taps) < 1e-8
 
@@ -185,7 +185,7 @@ class TestHalfGrid:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_naive_and_full_grid(self, n, l, dt, seed):
-        sys = with_output_map(nplr_decompose(n), seed)
+        sys = nplr_decompose(n, seed)
         half = kernel_genfn(sys, dt, l)
         full = kernel_genfn(replace(sys, real_response=False), dt, l)
         naive = kernel_naive(discretize_bilinear(sys, dt), l)
@@ -196,10 +196,8 @@ class TestHalfGrid:
     def test_flag_set_by_constructors_only(self):
         sys = nplr_decompose(5, seed=1)
         assert sys.real_response
-        assert with_output_map(sys, 2).real_response
         bare = DplrSystem(lam=sys.lam, p=sys.p, b=sys.b, c=sys.c, basis=sys.basis)
-        assert not bare.real_response
-        assert not with_output_map(bare, 2).real_response  # a basis alone proves nothing
+        assert not bare.real_response  # a basis alone proves nothing
 
     def test_pole_on_a_half_grid_node(self):
         # N = 64 gives blocks of 1024 nodes; node 1500 of 4096 lies in the second

@@ -6,6 +6,7 @@ from liquid_ssm.conv import causal_conv, recurrent_s4
 from liquid_ssm.errors import DimensionError, DivergedStateError
 from liquid_ssm.kernel import kernel_genfn, kernel_naive
 from liquid_ssm.liquid import (
+    _liquid_kernels,
     build_liquid_kernels,
     correlation_signals,
     default_window,
@@ -14,7 +15,7 @@ from liquid_ssm.liquid import (
     recurrent_liquid,
 )
 from liquid_ssm.pipeline import forward_liquid_s4
-from liquid_ssm.ssm import DiscreteSystem, DplrSystem, discretize_bilinear, nplr_decompose, with_output_map
+from liquid_ssm.ssm import DiscreteSystem, DplrSystem, discretize_bilinear, nplr_decompose
 
 from helpers import scalar_discrete
 
@@ -139,7 +140,7 @@ class TestApplyLiquid:
         a, b, c = 0.7, 1.1, 0.9
         d = scalar_discrete(a, b, c)
         u = np.array([0.8, -1.2])
-        kset = kernel_set_from_discrete(d, "kb", 2, 2)
+        kset = _liquid_kernels(d, "kb", 2, 2)
         out = liquid_part(kset, u)
         assert out[1] == pytest.approx(c * b**2 * u[0] * u[1])
 
@@ -157,7 +158,7 @@ class TestApplyLiquid:
 
     def test_degree_scaling(self):
         rng = np.random.default_rng(3)
-        sys = with_output_map(nplr_decompose(5, seed=1), 2)
+        sys = nplr_decompose(5, seed=2)
         u = rng.normal(size=24)
         for p in (2, 3):
             # the order-p term alone is homogeneous of degree p
@@ -179,13 +180,13 @@ class TestLiquidOracle:
             u = rng.normal(size=16)
             window = int(rng.integers(1, 17))
             max_order = int(rng.integers(2, 5))
-            kset = kernel_set_from_discrete(d, "kb", max_order, window)
+            kset = _liquid_kernels(d, "kb", max_order, window)
             combined = kernel_path(d, u, kset)
             assert np.max(np.abs(combined - liquid_oracle(d, u, max_order, window))) < 1e-10
 
     def test_vector_system_matches_kernel_path(self):
         rng = np.random.default_rng(42)
-        sys = with_output_map(nplr_decompose(6, seed=0), 1)
+        sys = nplr_decompose(6, seed=1)
         d = discretize_bilinear(sys, 0.08)
         u = rng.normal(size=48)
         kset = build_liquid_kernels(sys, 0.08, "kb", 4, 12)
@@ -224,7 +225,7 @@ class TestRecurrentLiquid:
     def test_matches_expansion_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
-        sys = with_output_map(nplr_decompose(n, seed=seed), seed)
+        sys = nplr_decompose(n, seed=seed)
         d = discretize_bilinear(sys, float(rng.uniform(0.05, 0.3)))
         u = rng.normal(size=5)
         got = recurrent_liquid(d, u)
@@ -251,7 +252,7 @@ class TestConsecutiveRestriction:
         a, b, c = 0.7, 1.4, -0.6
         d = scalar_discrete(a, b, c)
         u = rng.normal(size=3)
-        kset = kernel_set_from_discrete(d, "kb", 2, 3)
+        kset = _liquid_kernels(d, "kb", 2, 3)
         kernel_sum = kernel_path(d, u, kset)
         rec = recurrent_liquid(d, u)
         missing = np.array(
@@ -266,7 +267,7 @@ class TestConsecutiveRestriction:
 
 class TestForwardLiquid:
     def test_mode_none_matches_recurrent(self):
-        sys = with_output_map(nplr_decompose(8, seed=0), 5)
+        sys = nplr_decompose(8, seed=5)
         d = discretize_bilinear(sys, 0.05)
         u = np.random.default_rng(6).normal(size=128)
         got = forward_liquid_s4(sys, 0.05, u, mode="none")
@@ -274,7 +275,7 @@ class TestForwardLiquid:
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
 
     def test_kb_matches_oracle(self):
-        sys = with_output_map(nplr_decompose(4, seed=2), 3)
+        sys = nplr_decompose(4, seed=3)
         d = discretize_bilinear(sys, 0.1)
         u = np.random.default_rng(7).normal(size=16)
         got = forward_liquid_s4(sys, 0.1, u, mode="kb", max_order=3, window=8)
@@ -282,7 +283,7 @@ class TestForwardLiquid:
 
     def test_pb_parity_under_negation(self):
         # order-2 liquid part is even in the input, the main part is odd
-        sys = with_output_map(nplr_decompose(4, seed=2), 3)
+        sys = nplr_decompose(4, seed=3)
         u = np.random.default_rng(8).normal(size=32)
         kset = build_liquid_kernels(sys, 0.1, "pb", 2, 8)
         main = lambda v: forward_liquid_s4(sys, 0.1, v, mode="none")
@@ -298,14 +299,14 @@ class TestForwardLiquid:
     @pytest.mark.parametrize("mode", ["kb", "pb"])
     def test_window_bound(self, mode):
         # causal_conv accepts taps longer than the signal, so the bound is checked here
-        sys = with_output_map(nplr_decompose(4, seed=2), 3)
+        sys = nplr_decompose(4, seed=3)
         u = np.random.default_rng(10).normal(size=16)
         assert forward_liquid_s4(sys, 0.1, u, mode=mode, window=16).shape == (16,)
         with pytest.raises(DimensionError, match="window 17 exceeds sequence length 16"):
             forward_liquid_s4(sys, 0.1, u, mode=mode, window=17)
 
     def test_kb_discretizes_once(self, monkeypatch):
-        sys = with_output_map(nplr_decompose(8, seed=1), 2)
+        sys = nplr_decompose(8, seed=2)
         u = np.random.default_rng(9).normal(size=(3, 256))
         taps = [kernel_genfn(sys, 0.05, 256).taps, *build_liquid_kernels(sys, 0.05, "kb", 3, 16).taps]
         want = causal_conv(taps, correlation_signals(u, 3))
@@ -340,13 +341,3 @@ def pb_taps(d, p, window):
     from liquid_ssm.liquid import _pb_taps_discrete
 
     return _pb_taps_discrete(d, p, window).real
-
-
-def kernel_set_from_discrete(d, mode, max_order, window):
-    from liquid_ssm.liquid import LiquidKernelSet
-
-    compute = kb_taps if mode == "kb" else pb_taps
-    return LiquidKernelSet(
-        taps=tuple(compute(d, p, window) for p in range(2, max_order + 1)),
-        residual_imag=0.0,
-    )

@@ -18,7 +18,7 @@ from liquid_ssm.model import (
     train_demo,
 )
 from liquid_ssm.pipeline import MODES, feature_systems
-from liquid_ssm.ssm import _legs_core, discretize_bilinear, init_dt_schedule, nplr_decompose, with_output_map
+from liquid_ssm.ssm import _legs_core, discretize_bilinear, init_dt_schedule, nplr_decompose
 
 
 def window_products(u, p):
@@ -100,10 +100,9 @@ class TestForward:
         u = np.random.default_rng(0).normal(size=(5, 16))
         logits = model.forward(u)
 
-        base = nplr_decompose(3, seed=0)
         dts = init_dt_schedule(2, dt_min=None, dt_max=0.2, seed=0, seq_length=16)
         for h in range(2):
-            sysh = with_output_map(base, 0 * 1000 + 97 * 0 + h)
+            sysh = nplr_decompose(3, seed=0 * 1000 + 97 * 0 + h)
             sysh = type(sysh)(lam=sysh.lam, p=sysh.p, b=sysh.b, c=sysh.c / np.sqrt(3), basis=sysh.basis)
             d = discretize_bilinear(sysh, float(dts[h]))
             taps = np.array([np.vdot(d.c_bar, np.linalg.matrix_power(d.a_bar, i) @ d.b_bar).real for i in range(16)])
@@ -148,7 +147,7 @@ class TestForward:
             assert np.all(np.abs(logits) < 1e6)
 
     @pytest.mark.parametrize("mode", ["kb", "pb"])
-    def test_layer_contributions_match_oracle_taps(self, mode):
+    def test_layers_match_oracle_taps(self, mode):
         # each layer's main and liquid paths are the unit-normalised oracle
         # taps of its feature_systems bank, convolved by direct summation, and
         # the forward pass is exactly those layers, pooled and read out
@@ -315,6 +314,12 @@ class TestTrainDemo:
         with pytest.raises(ParameterBudgetError) as exc:
             train_demo(model, task, epochs=1, lr=0.1, seed=0)
         assert exc.value.count == model.param_count
+
+    def test_more_task_classes_than_readout_refused(self):
+        model = SequenceClassifier(small_stack("pb"), seq_length=16, seed=0)
+        task = SyntheticTask(name="impulse-memory", length=16, n_classes=4)
+        with pytest.raises(DimensionError, match="task has 4 classes but the readout has 2"):
+            train_demo(model, task, epochs=1, lr=0.1, seed=0, n_train=20)
 
     def test_zero_lr_leaves_loss_unchanged(self):
         model = SequenceClassifier(small_stack("pb"), seq_length=16, seed=0)

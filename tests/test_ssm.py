@@ -12,7 +12,6 @@ from liquid_ssm.ssm import (
     init_dt_schedule,
     legs_init_vectors,
     nplr_decompose,
-    with_output_map,
     woodbury_input_map,
 )
 
@@ -122,10 +121,11 @@ class TestNplrDecompose:
         assert np.array_equal(a.lam, b.lam)
         assert np.array_equal(a.c, b.c)
 
-    def test_with_output_map_changes_only_c(self):
+    def test_seed_changes_only_c(self):
         sys = nplr_decompose(8, seed=0)
-        redrawn = with_output_map(sys, seed=99)
+        redrawn = nplr_decompose(8, seed=99)
         assert np.array_equal(sys.lam, redrawn.lam)
+        assert np.array_equal(sys.p, redrawn.p)
         assert np.array_equal(sys.b, redrawn.b)
         assert not np.array_equal(sys.c, redrawn.c)
 
