@@ -7,12 +7,12 @@ evaluates the truncated generating function at the unit roots of a frequency
 grid through one blocked Cauchy pass -- one reciprocal block and one
 (N, 4) weight matmul per block of nodes -- plus a rank-1 Woodbury
 combination, then recovers the taps with an inverse transform. A system
-flagged ``real_response`` has a conjugate-symmetric spectrum, so only the
-size//2 + 1 non-negative frequencies are evaluated and a real inverse FFT
-recovers the taps; any other system is evaluated on the full grid. The naive
-and fast paths must agree to 1e-8 relative L-infinity on any stable system.
-``bench_kernel`` times both with ``_best_of``, the one round-robin timer of
-the package.
+with a LegS ``basis`` (set only by ``nplr_decompose``, dropped by any edit)
+has a real response: only its size//2 + 1 non-negative frequencies are
+evaluated and a real inverse FFT recovers the taps; any other system is
+evaluated on the full grid. The naive and fast paths must agree to 1e-8
+relative L-infinity on any stable system. ``bench_kernel`` times both with
+``_best_of``, the one round-robin timer of the package.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class Kernel:
     ``residual_imag`` records the largest imaginary magnitude discarded when
     taking real parts; it stays below 1e-6 for any system equivalent to a
     real one (conjugate-symmetric spectrum with a rotated real output map).
-    It is 0.0 by construction for a generating-function kernel of a
-    ``real_response`` system, whose half-spectrum inverse FFT is real.
+    It is 0.0 by construction for a generating-function kernel of a system
+    with a LegS ``basis``, whose half-spectrum inverse FFT is real.
     """
 
     taps: np.ndarray
@@ -122,8 +122,8 @@ def _genfn_kernel(sys: DplrSystem, d: DiscreteSystem, l: int) -> Kernel:
         raise DimensionError(f"need l >= 1, got {l}")
     dt, size = d.dt, next_pow2(l)
     ct = truncate_generating_c(d, size)
-    # a real response has a conjugate-symmetric spectrum: nodes 0..size//2 fix it
-    omega = unit_roots(size, size // 2 + 1 if sys.real_response else size)
+    # a LegS basis proves a real response; nodes 0..size//2 fix its conjugate-symmetric spectrum
+    omega = unit_roots(size, size // 2 + 1 if sys.basis is not None else size)
     half = size // 2 if size % 2 == 0 else None  # omega = -1 node, singular prefactor
     w = np.stack([np.conj(v) * x for v in (ct, sys.p) for x in (sys.b, sys.p)], axis=1)
 
@@ -145,7 +145,7 @@ def _genfn_kernel(sys: DplrSystem, d: DiscreteSystem, l: int) -> Kernel:
     # Samples live at omega^{+i}, so the forward transform (scaled) inverts
     # the evaluation map; on the half grid that is the real inverse transform
     # of the conjugate spectrum.
-    if sys.real_response:
+    if sys.basis is not None:
         return Kernel(taps=np.fft.irfft(np.conj(khat), n=size)[:l], residual_imag=0.0)
     taps = (np.fft.fft(khat) / size)[:l]
     return Kernel(taps=taps.real, residual_imag=float(np.max(np.abs(taps.imag))))
@@ -155,7 +155,7 @@ def kernel_genfn(sys: DplrSystem, dt: float, l: int) -> Kernel:
     """Frequency-domain kernel generation.
 
     Computes the truncated generating function, samples it at the unit roots
-    (only the non-negative frequencies when ``sys.real_response``) through
+    (only the non-negative frequencies when ``sys.basis`` is set) through
     one blocked Cauchy pass combined by the rank-1 Woodbury identity, and
     recovers the taps with an inverse transform. Non-power-of-two lengths
     are generated at the next power of two and truncated, which is exact

@@ -75,6 +75,8 @@ class LayerConfig:
             raise DimensionError(f"unknown mode {self.mode!r}")
         if self.mode != "none" and not 2 <= self.max_order <= MAX_ORDER:
             raise DimensionError(f"liquid order must lie in 2..{MAX_ORDER}")
+        if self.mode != "none" and self.window < 1:
+            raise DimensionError(f"liquid window must be >= 1, got {self.window}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,8 @@ class SyntheticTask:
             raise DimensionError(f"unknown task {self.name!r}")
         if self.length < 2 or self.n_classes < 2:
             raise DimensionError("need length >= 2 and n_classes >= 2")
+        if self.name == "adjacent-product-sign" and self.n_classes != 2:
+            raise DimensionError(f"adjacent-product-sign has 2 classes, got n_classes={self.n_classes}")
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -389,6 +393,7 @@ def train_demo(
             "max_order": layer0.max_order,
             "window": layer0.window,
             "length": model.seq_length,
+            "classes": model.stack.n_classes,
         },
         "loss": [float(v) for v in losses],
         "accuracy": [float(v) for v in accuracies],

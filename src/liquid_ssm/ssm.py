@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -37,21 +37,19 @@ class DplrSystem:
              ``diag(lam) - p p*``.
         b:   (N,) complex input map.
         c:   (N,) complex output map, applied as ``y = conj(c) . x``.
-        basis: optional (N, N) unitary relating this system to an original
-             real basis (kept for reconstruction checks).
-        real_response: the impulse response is real, so its spectrum is
-             conjugate-symmetric and the generating-function kernel needs
-             only the non-negative frequencies. Set by ``nplr_decompose``,
-             which draws a real output map in the real LegS basis; never
-             inferred from the values.
+        basis: the (N, N) unitary V that rotates this system back to the real
+             LegS system with a real output map, so its impulse response is
+             real and the generating-function kernel needs only the
+             non-negative frequencies. Set only by ``nplr_decompose``; not a
+             constructor argument, and ``dataclasses.replace`` drops it, so a
+             hand-built or edited system has none.
     """
 
     lam: np.ndarray
     p: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    basis: np.ndarray | None = None
-    real_response: bool = False
+    basis: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         for name in ("lam", "p", "b", "c"):
@@ -183,12 +181,14 @@ def nplr_decompose(n: int, seed: int = 0) -> DplrSystem:
         seed: RNG seed for the output map.
 
     Returns:
-        DplrSystem with ``basis`` set to V and ``real_response`` set, satisfying
-        ``V (diag(lam) - (V* P)(V* P)*) V* ~= hippo_legs(n)``.
+        DplrSystem with ``basis`` set to V (its proof of a real response),
+        satisfying ``V (diag(lam) - (V* P)(V* P)*) V* ~= hippo_legs(n)``.
     """
     lam, p, b, v = _legs_core(n)
     c = v.conj().T @ np.random.default_rng(seed).standard_normal(n).astype(complex)
-    return DplrSystem(lam=lam, p=p, b=b, c=c, basis=v, real_response=True)
+    sys = DplrSystem(lam=lam, p=p, b=b, c=c)
+    object.__setattr__(sys, "basis", v)
+    return sys
 
 
 def discretize_bilinear(sys: DplrSystem, dt: float) -> DiscreteSystem:

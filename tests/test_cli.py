@@ -228,6 +228,15 @@ class TestTrainDemoCommand:
         doc = json.loads(out.read_text())
         assert doc["command"] == "train-demo"
         assert len(doc["loss"]) == 2
+        assert doc["config"]["classes"] == 2
+
+    def test_adjacent_product_sign_extra_class_exit_2(self, tmp_path, capsys):
+        # its labels are only ever 0 or 1, so a third readout class is refused, not wasted
+        argv = ["train-demo", "--task", "adjacent-product-sign", "--classes", "3", "--epochs", "1"]
+        argv += ["--n-train", "20", "--length", "16", "--state", "4", "--features", "2"]
+        assert run(argv + ["--out", str(tmp_path / "t.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_classes=3" in err
 
     def test_budget_guard_exit_2(self, tmp_path, capsys):
         assert run(

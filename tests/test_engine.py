@@ -176,5 +176,4 @@ def test_feature_systems_are_seeded_decompositions(n):
         want = nplr_decompose(n, 3 + i)
         assert np.array_equal(sys_.c, want.c)
         assert all(getattr(sys_, name) is getattr(want, name) for name in ("lam", "p", "b", "basis"))
-        assert sys_.real_response
         assert dt == dts[i]

@@ -115,9 +115,9 @@ class TestKernelGenfn:
 
     def test_linearity_in_output_map(self):
         sys = nplr_decompose(6, seed=3)
-        doubled = replace(sys, c=2.0 * sys.c)  # same grid as sys
-        k1 = kernel_genfn(sys, 0.1, 32)
-        k2 = kernel_genfn(doubled, 0.1, 32)
+        # both copies drop the basis, so both take the full grid
+        k1 = kernel_genfn(replace(sys), 0.1, 32)
+        k2 = kernel_genfn(replace(sys, c=2.0 * sys.c), 0.1, 32)
         assert np.array_equal(k2.taps, 2.0 * k1.taps)
 
     def test_contractive_decay_envelope(self):
@@ -175,7 +175,7 @@ class TestKernelGenfn:
 
 
 class TestHalfGrid:
-    # a real_response system is evaluated at the size//2 + 1 non-negative frequencies only
+    # a system with a LegS basis is evaluated at the size//2 + 1 non-negative frequencies only
 
     @PROPERTY
     @given(
@@ -187,26 +187,39 @@ class TestHalfGrid:
     def test_matches_naive_and_full_grid(self, n, l, dt, seed):
         sys = nplr_decompose(n, seed)
         half = kernel_genfn(sys, dt, l)
-        full = kernel_genfn(replace(sys, real_response=False), dt, l)
+        full = kernel_genfn(replace(sys), dt, l)  # the copy has no basis: full grid
         naive = kernel_naive(discretize_bilinear(sys, dt), l)
         assert half.residual_imag == 0.0
         assert rel_linf(half.taps, naive.taps) < 1e-8
         assert rel_linf(half.taps, full.taps) < 1e-12
 
     def test_flag_set_by_constructors_only(self):
+        # only nplr_decompose sets the basis: no constructor argument, and any edit drops it
         sys = nplr_decompose(5, seed=1)
-        assert sys.real_response
-        bare = DplrSystem(lam=sys.lam, p=sys.p, b=sys.b, c=sys.c, basis=sys.basis)
-        assert not bare.real_response  # a basis alone proves nothing
+        assert sys.basis is not None
+        with pytest.raises(TypeError):
+            DplrSystem(lam=sys.lam, p=sys.p, b=sys.b, c=sys.c, basis=sys.basis)
+        assert DplrSystem(lam=sys.lam, p=sys.p, b=sys.b, c=sys.c).basis is None
+        assert replace(sys).basis is None
+        assert replace(sys, c=2.0 * sys.c).basis is None
+
+    def test_edited_legs_system_matches_naive(self):
+        # a complex output map breaks the real response; the edit must leave the half grid
+        sys = nplr_decompose(8, seed=3)
+        rng = np.random.default_rng(1)
+        edited = replace(sys, c=rng.normal(size=8) + 1j * rng.normal(size=8))
+        naive = kernel_naive(discretize_bilinear(edited, 0.05), 64)
+        assert rel_linf(kernel_genfn(edited, 0.05, 64).taps, naive.taps) < 1e-8
 
     def test_pole_on_a_half_grid_node(self):
         # N = 64 gives blocks of 1024 nodes; node 1500 of 4096 lies in the second
         # block of the 2049-node half grid
         omega = unit_roots(4096, 2049)
-        lam = nplr_decompose(64).lam.copy()
+        base = nplr_decompose(64)
+        lam = base.lam.copy()
         lam[17] = ((2.0 / 0.01) * (1.0 - omega) / (1.0 + omega))[1500]
-        sys = replace(nplr_decompose(64), lam=lam)
-        assert sys.real_response
+        sys = replace(base, lam=lam)
+        object.__setattr__(sys, "basis", base.basis)  # a forged proof keeps the half grid
         with pytest.raises(PoleError):
             kernel_genfn(sys, 0.01, 4096)
 

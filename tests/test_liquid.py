@@ -131,7 +131,7 @@ class TestPbKernel:
             assert pb_taps(d, p, 5) == pytest.approx(np.zeros(5))
 
 
-class TestApplyLiquid:
+class TestLiquidTerms:
     """The liquid kernels applied to the input: orders 2..P of the one sum."""
 
     def test_order2_matches_unrolled_term(self):

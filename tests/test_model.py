@@ -83,6 +83,10 @@ class TestGenerateTask:
         with pytest.raises(DimensionError):
             SyntheticTask(name="parity")
 
+    def test_adjacent_product_sign_has_two_classes(self):
+        with pytest.raises(DimensionError, match="n_classes=3"):
+            SyntheticTask(name="adjacent-product-sign", n_classes=3)
+
 
 class TestForward:
     def test_linear_single_layer_equals_pooled_recurrence(self):
@@ -103,7 +107,7 @@ class TestForward:
         dts = init_dt_schedule(2, dt_min=None, dt_max=0.2, seed=0, seq_length=16)
         for h in range(2):
             sysh = nplr_decompose(3, seed=0 * 1000 + 97 * 0 + h)
-            sysh = type(sysh)(lam=sysh.lam, p=sysh.p, b=sysh.b, c=sysh.c / np.sqrt(3), basis=sysh.basis)
+            sysh = type(sysh)(lam=sysh.lam, p=sysh.p, b=sysh.b, c=sysh.c / np.sqrt(3))
             d = discretize_bilinear(sysh, float(dts[h]))
             taps = np.array([np.vdot(d.c_bar, np.linalg.matrix_power(d.a_bar, i) @ d.b_bar).real for i in range(16)])
             scale = np.linalg.norm(taps)
@@ -262,7 +266,9 @@ def test_channel_gradient_matches_oracle(depth, features, state, mode, order, cl
     # the channel-by-channel gradient against the black-box oracle on the same objective
     layer = LayerConfig(features=features, state_size=state, mode=mode, max_order=order, window=6)
     model = SequenceClassifier(ModelStack(layers=(layer,) * depth, n_classes=classes), seq_length=length, seed=seed)
-    batch, labels = generate_task(SyntheticTask(name=task_name, length=length, n_classes=classes), 12, seed)
+    # adjacent-product-sign has two classes; the readout stays classes wide
+    task_classes = classes if task_name == "impulse-memory" else 2
+    batch, labels = generate_task(SyntheticTask(name=task_name, length=length, n_classes=task_classes), 12, seed)
     u = batch.values[:, :, 0]
     theta = model.get_param_vector() + 0.3 * np.random.default_rng(seed).standard_normal(model.param_count)
     model.set_param_vector(theta)
@@ -364,6 +370,10 @@ class TestConfigValidation:
             LayerConfig(mode="wet")
         with pytest.raises(DimensionError):
             LayerConfig(features=0)
+        for mode in ("kb", "pb"):
+            with pytest.raises(DimensionError, match="window"):
+                LayerConfig(mode=mode, window=0)
+        LayerConfig(mode="none", window=0)  # no liquid taps, no window to check
 
     def test_stack_validation(self):
         with pytest.raises(DimensionError):

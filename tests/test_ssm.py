@@ -185,7 +185,7 @@ class TestDiscretizeBilinear:
             woodbury_input_map(sys, 0.5)
 
 
-class TestStepSizeSchedule:
+class TestInitDtSchedule:
     def test_degenerate_range(self):
         dts = init_dt_schedule(1, dt_min=0.1, dt_max=0.1)
         assert dts == pytest.approx([0.1])
