@@ -141,12 +141,11 @@ def emit(document: dict, out_path: str | None):
 
 def cmd_hippo(cfg: RunConfig, args) -> int:
     a = hippo_legs(cfg.state)
-    sys_ = nplr_decompose(cfg.state, seed=cfg.seed)
+    sys_ = nplr_decompose(cfg.state)
     rec = sys_.basis @ sys_.a_dense() @ sys_.basis.conj().T
     doc = {
         "command": "hippo",
         "state_size": cfg.state,
-        "seed": cfg.seed,
         "matrix": a.tolist(),
         "dplr": {
             "lambda_re": sys_.lam.real.tolist(),
@@ -339,7 +338,7 @@ FLAGS = {
 # (name, help, flags read); build_parser looks up the handler cmd_<name> on the module
 COMMANDS = (
     ("hippo", "emit the LegS matrix and its DPLR decomposition",
-     ("config", "seed", "state", "out")),
+     ("config", "state", "out")),
     ("kernel", "generate main and liquid kernel taps",
      ("config", "seed", "mode", "order", "window", "length", "state", "out")),
     ("convolve", "run sequences from a file through the forward path",

@@ -1,10 +1,13 @@
 """Every causal convolution in the package, and the exact recurrent reference.
 
 ``causal_conv`` sums the convolutions of several (taps, signal) orders and
-picks accumulated banded matmuls or one summed-spectrum FFT from the input
-size. Both branches and the direct O(L^2) summation ``causal_conv_direct`` are
-deliberately independent implementations of the same contract; tests hold
-them to 1e-10 of each other.
+picks the algorithm per order. A small input puts every order through one
+(L, L) Toeplitz band. Otherwise an order of at most ``BAND_TAPS`` taps (the
+short liquid windows) goes through a blocked Toeplitz band, and the longer
+orders (the main kernel) share one summed spectrum and its one inverse FFT;
+the two partial sums are added in the time domain. Both algorithms and the
+direct O(L^2) summation ``causal_conv_direct`` are deliberately independent
+implementations of the same contract; tests hold them to 1e-10 of each other.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .errors import DimensionError, DivergedStateError
 from .ssm import DiscreteSystem
 
 _DIVERGENCE_LIMIT = 1e100
+# longest taps that take the blocked band above the one-block size; longer taps are transformed
+BAND_TAPS = 64
 
 
 @dataclass(frozen=True)
@@ -69,24 +74,41 @@ def _spectral_sum(pairs: Iterable[tuple[np.ndarray, np.ndarray]], l: int, lk: in
 
 
 @lru_cache(maxsize=32)
-def _band_index(l: int, lk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lag and mask of the (L, L) band: entry [in, out] holds taps[out - in] where 0 <= out - in < lk."""
-    lag = np.arange(l)[None, :] - np.arange(l)[:, None]
+def _band_index(rows: int, cols: int, lk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lag and mask of a (rows, cols) band: entry [in, out] holds taps[out - in] where 0 <= out - in < lk."""
+    lag = np.arange(cols)[None, :] - np.arange(rows)[:, None]
     valid = (lag >= 0) & (lag < lk)
     lag = np.clip(lag, 0, lk - 1)
     lag.flags.writeable = valid.flags.writeable = False
     return lag, valid
 
 
-def _band_product(taps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Causal convolution as a product with the (L, L) Toeplitz band of the taps."""
+def _band_product(taps: np.ndarray, u: np.ndarray, block: int) -> np.ndarray:
+    """Causal convolution as a product with the Toeplitz band of the taps, ``block`` samples at a time.
+
+    One block (``block >= L``) is one product with the (L, L) band. A shorter
+    block, of at least L_k samples, cuts the zero-padded signal into blocks
+    and multiplies all of them by the (block, 2 block) band pair
+    [current | next], one row product per half: the left half gives each
+    block's own output, the right half its spill into the next block, added
+    after a shift of one block.
+    """
     l = u.shape[-1]
-    lag, valid = _band_index(l, taps.shape[-1])
-    band = np.where(valid, np.take(taps, lag, axis=-1), 0.0)  # (L, L) or (H, L, L)
-    if taps.ndim == 1:
-        return u @ band
-    x = u.swapaxes(0, -2)  # features first: each feature multiplies its own band
-    return (x.reshape(taps.shape[0], -1, l) @ band).reshape(x.shape).swapaxes(0, -2)
+    blocks = -(-l // block)
+    width = block if blocks == 1 else 2 * block
+    lag, valid = _band_index(block, width, taps.shape[-1])
+    band = np.where(valid, np.take(taps, lag, axis=-1), 0.0)  # (block, width) or (H, block, width)
+    x = u if taps.ndim == 1 else u.swapaxes(0, -2)  # features first: each feature multiplies its own band
+    if blocks == 1:
+        y = x @ band if taps.ndim == 1 else (x.reshape(taps.shape[0], -1, l) @ band).reshape(x.shape)
+    else:
+        if blocks * block > l:
+            x = np.concatenate([x, np.zeros(x.shape[:-1] + (blocks * block - l,))], axis=-1)
+        rows = x.reshape(taps.shape[:-1] + (-1, block))  # every block of every sequence, one row each
+        y = (rows @ band[..., :block]).reshape(x.shape[:-1] + (blocks, block))
+        y[..., 1:, :] += (rows @ band[..., block:]).reshape(y.shape)[..., :-1, :]
+        y = y.reshape(x.shape)[..., :l]
+    return y if taps.ndim == 1 else y.swapaxes(0, -2)
 
 
 def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterable[np.ndarray]) -> np.ndarray:
@@ -99,9 +121,13 @@ def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterabl
     holds the matching signals of one shape, possibly from a generator; one
     tap array and one signal are the one-order case.
 
-    Accumulates products with the (L, L) Toeplitz bands when L <= 64, or
-    when L <= 256 and at least L sequences share each band (per-feature taps
-    give every feature its own band); otherwise sums spectra.
+    Picks the algorithm per order. When L <= 64, or when L <= 256 and at
+    least L sequences share each band (per-feature taps give every feature
+    its own band), every order is one product with its (L, L) Toeplitz band.
+    Otherwise an order of at most ``BAND_TAPS`` taps is a blocked product
+    with a (L_k, 2 L_k) band, taken as soon as its signal arrives, and the
+    longer orders add their spectra for one inverse FFT; the two partial
+    sums are added in the time domain.
     """
     if isinstance(taps, np.ndarray):
         taps, u = (taps,), (u,)
@@ -109,12 +135,29 @@ def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterabl
     first = np.asarray(next(signals), dtype=float)
     taps = [_checked_taps(t, first) for t in taps]
     rest = (np.asarray(x, dtype=float) for x in signals)
-    pairs = zip(taps, itertools.chain([first], rest), strict=True)
     l = first.shape[-1]
     bands = max((t.shape[0] for t in taps if t.ndim == 2), default=1)
-    if l > 64 and (l > 256 or first.size // bands < l * l):
-        return _spectral_sum(pairs, l, max(t.shape[-1] for t in taps))
-    return reduce(iadd, (_band_product(t, x) for t, x in pairs))  # summed in place
+    if l <= 64 or (l <= 256 and first.size // bands >= l * l):
+        pairs = zip(taps, itertools.chain([first], rest), strict=True)
+        return reduce(iadd, (_band_product(t, x, l) for t, x in pairs))  # summed in place
+    # the first signal is held anyway, so it comes last: no spectrum is alive while short orders are banded
+    pairs = itertools.chain(zip(taps[1:], rest, strict=True), [(taps[0], first)])
+    long_lk = max((t.shape[-1] for t in taps if t.shape[-1] > BAND_TAPS), default=0)
+    if not long_lk:
+        return reduce(iadd, (_band_product(t, x, t.shape[-1]) for t, x in pairs))
+    banded = None
+
+    def long_pairs():  # a short order met on the way is banded at once, so no signal is held
+        nonlocal banded
+        for t, x in pairs:
+            if t.shape[-1] > BAND_TAPS:
+                yield t, x
+            else:
+                part = _band_product(t, x, t.shape[-1])
+                banded = part if banded is None else iadd(banded, part)
+
+    y = _spectral_sum(long_pairs(), l, long_lk)
+    return y if banded is None else iadd(y, banded)
 
 
 def causal_conv_direct(taps: np.ndarray, u: np.ndarray) -> np.ndarray:

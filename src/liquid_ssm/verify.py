@@ -127,10 +127,15 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     res = float(np.max(np.abs(recurrent_s4(d, impulse) - kernel_naive(d, 48).taps)))
     results.append(_result("impulse_response_equals_taps", res, 1e-12))
 
+    # one sequence longer than 64 samples: taps longer than BAND_TAPS take causal_conv's FFT branch,
+    # shorter ones its blocked band
     taps = rng.normal(0.0, 1.0, 24)
-    u = rng.normal(0.0, 1.0, 128)  # one sequence longer than 64 samples: causal_conv's FFT branch
-    res = float(np.max(np.abs(causal_conv(taps, u) - causal_conv_direct(taps, u))))
+    u = rng.normal(0.0, 1.0, 128)
+    long_taps = rng.normal(0.0, 1.0, 96)
+    res = float(np.max(np.abs(causal_conv(long_taps, u) - causal_conv_direct(long_taps, u))))
     results.append(_result("fft_conv_matches_direct_sum", res, 1e-10))
+    res = float(np.max(np.abs(causal_conv(taps, u) - causal_conv_direct(taps, u))))
+    results.append(_result("band_conv_matches_direct_sum", res, 1e-10))
 
     u = rng.normal(0.0, 1.0, 64)
     res = _rel_linf(forward_liquid_s4(sys, 0.05, u, mode="none"), recurrent_s4(d, u))

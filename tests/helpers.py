@@ -16,19 +16,19 @@ def scalar_discrete(a: float, b: float, c: float, dt: float = 1.0) -> DiscreteSy
     )
 
 
-
-def count_irfft(monkeypatch, size: int | None = None) -> list:
-    """Record each ``np.fft.irfft`` call, the one inverse transform of ``causal_conv``'s FFT branch.
+def count_fft(monkeypatch, name: str = "irfft", size: int | None = None) -> list:
+    """Record each call of the transform ``np.fft.<name>``; by default the inverse
+    ``irfft``, the one inverse transform of ``causal_conv``'s FFT branch.
 
     With ``size``, only calls of that transform size count, so a kernel's own
     half-spectrum transform is told apart from the convolution's.
     """
-    calls, irfft = [], np.fft.irfft
+    calls, transform = [], getattr(np.fft, name)
 
     def counted(*a, **k):
         if size is None or k.get("n") == size:
             calls.append(1)
-        return irfft(*a, **k)
+        return transform(*a, **k)
 
-    monkeypatch.setattr(np.fft, "irfft", counted)
+    monkeypatch.setattr(np.fft, name, counted)
     return calls

@@ -389,7 +389,7 @@ def test_handler_looked_up_on_the_module(monkeypatch):
 
 
 UNREAD_FLAGS = (
-    [("hippo", f) for f in ("mode", "order", "window", "length", "features")]
+    [("hippo", f) for f in ("seed", "mode", "order", "window", "length", "features")]
     + [("kernel", "features"), ("convolve", "length"), ("convolve", "features")]
     + [("verify", f) for f in ("state", "mode", "order", "window", "length", "features")]
     + [("bench", f) for f in ("mode", "length", "features")]

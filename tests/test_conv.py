@@ -3,6 +3,7 @@ import pytest
 
 from liquid_ssm import verify
 from liquid_ssm.conv import (
+    BAND_TAPS,
     SequenceBatch,
     causal_conv,
     causal_conv_direct,
@@ -13,16 +14,21 @@ from liquid_ssm.errors import DimensionError, DivergedStateError
 from liquid_ssm.kernel import kernel_naive
 from liquid_ssm.ssm import discretize_bilinear, nplr_decompose
 
-from helpers import count_irfft, scalar_discrete
+from helpers import count_fft, scalar_discrete
 
-# one single-sequence length on each side of causal_conv's band/FFT switch
+# one single-sequence length on each side of causal_conv's one-block switch at L = 64
 LENGTHS = (48, 100)
+
+
+def takes_fft(l: int, lk: int) -> bool:
+    """The branch of one sequence: above L = 64 only taps longer than BAND_TAPS are transformed."""
+    return l > 64 and lk > BAND_TAPS
 
 
 @pytest.fixture
 def conv(monkeypatch):
     """``causal_conv`` that also returns whether it took the FFT branch."""
-    calls = count_irfft(monkeypatch)
+    calls = count_fft(monkeypatch)
 
     def run(taps, u):
         calls.clear()
@@ -35,16 +41,18 @@ class TestCausalConv:
     def test_identity_kernel(self, conv):
         for l in LENGTHS:
             u = np.random.default_rng(l).normal(0.0, 1.0, l)
-            y, fft = conv([1.0], u)
-            assert fft == (l > 64)
-            assert y == pytest.approx(u)
+            for lk in (1, 80):
+                y, fft = conv(np.eye(1, lk)[0], u)
+                assert fft == takes_fft(l, lk)
+                assert y == pytest.approx(u)
 
     def test_unit_delay(self, conv):
         for l in LENGTHS:
             u = np.arange(1.0, l + 1.0)
-            y, fft = conv([0.0, 1.0], u)
-            assert fft == (l > 64)
-            assert y == pytest.approx(np.concatenate([[0.0], u[:-1]]))
+            for lk in (2, 80):
+                y, fft = conv(np.eye(1, lk, 1)[0], u)
+                assert fft == takes_fft(l, lk)
+                assert y == pytest.approx(np.concatenate([[0.0], u[:-1]]))
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(0)
@@ -64,44 +72,47 @@ class TestCausalConv:
             k = np.arange(1.0, l + 4.0)
             u = np.random.default_rng(l).normal(0.0, 1.0, l)
             y, fft = conv(k, u)
-            assert fft == (l > 64)
+            assert fft == takes_fft(l, l + 3)
             assert y == pytest.approx(causal_conv_direct(k, u))
 
     def test_batched_last_axis(self, conv):
         rng = np.random.default_rng(1)
-        k = rng.normal(0.0, 1.0, 8)
-        for l in LENGTHS:
-            u = rng.normal(0.0, 1.0, (5, 3, l))
-            batched, fft = conv(k, u)
-            assert fft == (l > 64)
-            for i in range(5):
-                for j in range(3):
-                    assert batched[i, j] == pytest.approx(causal_conv_direct(k, u[i, j]))
+        for lk in (8, 80):
+            k = rng.normal(0.0, 1.0, lk)
+            for l in LENGTHS:
+                u = rng.normal(0.0, 1.0, (5, 3, l))
+                batched, fft = conv(k, u)
+                assert fft == takes_fft(l, lk)
+                for i in range(5):
+                    for j in range(3):
+                        assert batched[i, j] == pytest.approx(causal_conv_direct(k, u[i, j]))
 
     def test_causality_perturbation(self, conv):
         rng = np.random.default_rng(2)
-        k = rng.normal(0.0, 1.0, 16)
-        for l in LENGTHS:
-            cut = l * 5 // 8
-            u = rng.normal(0.0, 1.0, l)
-            y, fft = conv(k, u)
-            assert fft == (l > 64)
-            u2 = u.copy()
-            u2[cut:] += rng.normal(0.0, 10.0, l - cut)
-            y2, _ = conv(k, u2)
-            assert y2[:cut] == pytest.approx(y[:cut], abs=1e-12)
+        for lk in (16, 80):
+            k = rng.normal(0.0, 1.0, lk)
+            for l in LENGTHS:
+                cut = l * 5 // 8
+                u = rng.normal(0.0, 1.0, l)
+                y, fft = conv(k, u)
+                assert fft == takes_fft(l, lk)
+                u2 = u.copy()
+                u2[cut:] += rng.normal(0.0, 10.0, l - cut)
+                y2, _ = conv(k, u2)
+                assert y2[:cut] == pytest.approx(y[:cut], abs=1e-12)
 
     def test_verify_conv_check_takes_fft_branch(self, monkeypatch, conv):
-        # fft_conv_matches_direct_sum is the suite's one convolution of a 128-sample signal
+        # the suite's two convolutions of a 128-sample signal: fft_conv_matches_direct_sum
+        # with 96 taps (more than BAND_TAPS), band_conv_matches_direct_sum with 24
         branches = {}
 
         def recorded(taps, u):
-            y, branches[np.shape(u)[-1]] = conv(taps, u)
+            y, branches[np.shape(u)[-1], np.shape(taps)[-1]] = conv(taps, u)
             return y
 
         monkeypatch.setattr(verify, "causal_conv", recorded)
         verify.run_suite(0)
-        assert branches[128] is True
+        assert (branches[128, 96], branches[128, 24]) == (True, False)
 
     def test_empty_kernel_rejected(self):
         with pytest.raises(DimensionError):

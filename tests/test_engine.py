@@ -3,23 +3,25 @@
 Each batched primitive is held to its row-by-row form: ``causal_conv`` to
 the direct summation (its order-summed form to a sum of direct summations),
 ``correlation_signals`` and ``forward_liquid_s4`` to stacks of 1-D calls.
-Sequence lengths straddle the L = 64 switch between the banded and the FFT
-path, so both branches are drawn for shared and per-feature taps; a table of
-shapes pins the batch-size rule between L = 64 and L = 256.
+Sequence lengths straddle the L = 64 switch between one (L, L) band and the
+per-order rule, and tap lengths the BAND_TAPS cut between the blocked band
+and the FFT, so every branch is drawn for shared and per-feature taps; a
+table of shapes pins the batch-size rule between L = 64 and L = 256 and the
+tap-length cut at L = 2048.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liquid_ssm.conv import causal_conv, causal_conv_direct, next_pow2
+from liquid_ssm.conv import BAND_TAPS, causal_conv, causal_conv_direct, next_pow2
 from liquid_ssm.errors import DimensionError
 from liquid_ssm.liquid import correlation_signals
 from liquid_ssm.pipeline import feature_systems, forward_liquid_s4
 from liquid_ssm.ssm import nplr_decompose
 from liquid_ssm.kernel import _rel_linf
 
-from helpers import count_irfft
+from helpers import count_fft
 
 PROPERTY = settings(max_examples=25, deadline=None)
 lengths = st.one_of(st.integers(1, 64), st.integers(65, 400))
@@ -57,6 +59,55 @@ def test_per_feature_taps_match_direct(l, lk, h, batch, seed):
             assert np.max(np.abs(got[b, i] - causal_conv_direct(taps[i], u[b, i]))) < 1e-10
 
 
+@PROPERTY
+@given(
+    l=st.integers(65, 700),
+    lks=st.lists(st.integers(1, BAND_TAPS), min_size=1, max_size=3),
+    main_at=st.one_of(st.none(), st.integers(0, 3)),
+    per_feature=st.booleans(),
+    h=st.integers(1, 3),
+    batch=st.integers(1, 3),
+    seed=seeds,
+)
+def test_blocked_band_matches_direct(l, lks, main_at, per_feature, h, batch, seed):
+    # above L = 64, orders of at most BAND_TAPS taps take the blocked band; a long order
+    # (L taps, at any position) joins them through the one summed spectrum
+    rng = np.random.default_rng(seed)
+    if main_at is not None:
+        lks.insert(min(main_at, len(lks)), l)
+    taps = [rng.normal(0.0, 1.0, (h, lk) if per_feature else (lk,)) for lk in lks]
+    u = rng.normal(0.0, 1.0, (batch, h, l))
+    with pytest.MonkeyPatch.context() as mp:
+        fft_calls = count_fft(mp)
+        got = causal_conv(taps, correlation_signals(u, len(taps)))
+    assert len(fft_calls) == (main_at is not None)
+    assert got.shape == u.shape
+    for b in range(batch):
+        for i in range(h):
+            signals = correlation_signals(u[b, i], len(taps))
+            want = sum(causal_conv_direct(t[i] if per_feature else t, x) for t, x in zip(taps, signals))
+            assert np.max(np.abs(got[b, i] - want)) < 1e-10
+
+
+def check_branch(monkeypatch, l, rows, lk, uses_band):
+    """causal_conv of (*rows, l) signals with (*rows[1:], lk) taps takes the band iff uses_band, and matches direct."""
+    fft_calls = count_fft(monkeypatch)
+    rng = np.random.default_rng(l)
+    taps = rng.normal(0.0, 1.0, rows[1:] + (lk,))
+    u = rng.normal(0.0, 1.0, rows + (l,))
+    got = causal_conv(taps, u)
+    assert (not fft_calls) == uses_band
+    for idx in np.ndindex(rows):
+        want = causal_conv_direct(taps[idx[1:]], u[idx])
+        assert np.max(np.abs(got[idx] - want)) < 1e-10
+    if len(rows) == 2:
+        # one channel of the same per-feature pass takes the same branch
+        fft_calls.clear()
+        one = causal_conv(taps[:1], u[:, :1])
+        assert (not fft_calls) == uses_band
+        assert np.max(np.abs(one - got[:, :1])) < 1e-10
+
+
 @pytest.mark.parametrize(
     "l, rows, uses_band",
     [
@@ -72,22 +123,16 @@ def test_per_feature_taps_match_direct(l, lk, h, batch, seed):
     ],
 )
 def test_size_rule_picks_band_and_matches_direct(monkeypatch, l, rows, uses_band):
-    # per-feature (H, 40) taps give each feature its own band, shared by rows[0] sequences
-    fft_calls = count_irfft(monkeypatch)
-    rng = np.random.default_rng(l)
-    taps = rng.normal(0.0, 1.0, rows[1:] + (40,))
-    u = rng.normal(0.0, 1.0, rows + (l,))
-    got = causal_conv(taps, u)
-    assert (not fft_calls) == uses_band
-    for idx in np.ndindex(rows):
-        want = causal_conv_direct(taps[idx[1:]], u[idx])
-        assert np.max(np.abs(got[idx] - want)) < 1e-10
-    if len(rows) == 2:
-        # one channel of the same per-feature pass takes the same branch
-        fft_calls.clear()
-        one = causal_conv(taps[:1], u[:, :1])
-        assert (not fft_calls) == uses_band
-        assert np.max(np.abs(one - got[:, :1])) < 1e-10
+    # per-feature (H, 80) taps give each feature its own band, shared by rows[0] sequences;
+    # taps longer than BAND_TAPS leave the choice to the sequence count
+    check_branch(monkeypatch, l, rows, 80, uses_band)
+
+
+@pytest.mark.parametrize("rows", [(1,), (2, 3)])
+@pytest.mark.parametrize("lk", [BAND_TAPS, BAND_TAPS + 1])
+def test_tap_length_cut_picks_band_and_matches_direct(monkeypatch, lk, rows):
+    # at L = 2048 taps of at most BAND_TAPS entries take the blocked band, longer ones the FFT
+    check_branch(monkeypatch, 2048, rows, lk, lk <= BAND_TAPS)
 
 
 def test_per_feature_taps_need_matching_feature_axis():
@@ -143,12 +188,13 @@ def test_order_sum_matches_direct(l, orders, per_feature, h, batch, seed):
 
 
 def test_kb_forward_takes_one_inverse_fft(monkeypatch):
-    # main kernel and orders 2..3 share one summed spectrum
+    # only the main kernel is transformed (its taps and its signal); the 32-tap orders 2..3 are banded
     sys_ = nplr_decompose(8, seed=1)
     u = np.random.default_rng(0).normal(0.0, 1.0, (2, 2048))
-    calls = count_irfft(monkeypatch, size=next_pow2(2 * 2048 - 1))  # the kernel's own transform is 2048
+    size = next_pow2(2 * 2048 - 1)  # the kernel's own transform is 2048
+    forward, inverse = count_fft(monkeypatch, "rfft", size), count_fft(monkeypatch, "irfft", size)
     forward_liquid_s4(sys_, 0.01, u, "kb", 3)
-    assert len(calls) == 1
+    assert (len(forward), len(inverse)) == (2, 1)
 
 
 @PROPERTY
