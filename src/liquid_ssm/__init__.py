@@ -1,8 +1,8 @@
-"""Liquid state-space kernels: LegS/DPLR initialization, frequency-domain
+"""Liquid state-space kernels: LegS/DPLR initialization, Krylov-block
 kernel generation, input-correlation kernels, oracles, and a training demo."""
 
 from .conv import SequenceBatch, causal_conv, causal_conv_direct, recurrent_s4
-from .kernel import Kernel, kernel_genfn, kernel_naive, truncate_generating_c
+from .kernel import Kernel, kernel_genfn, kernel_naive
 from .liquid import (
     LiquidKernelSet,
     build_liquid_kernels,
@@ -67,7 +67,6 @@ __all__ = [
     "recurrent_s4",
     "run_suite",
     "train_demo",
-    "truncate_generating_c",
     "woodbury_input_map",
 ]
 

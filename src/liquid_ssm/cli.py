@@ -7,7 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error, an
 input too large for memory or a diverged training run, 3 I/O error. Reports
 are strict JSON documents (no NaN or Infinity); every command is
 deterministic under a fixed seed, config and BLAS thread count apart from
-fields under ``timing_ms`` (``kernel_genfn`` taps move by 7.0e-14
+fields under ``timing_ms`` (``kernel_genfn`` taps move by 4.8e-14
 relative between one and two OpenBLAS threads at N = 256, L = 16384).
 """
 

@@ -17,14 +17,6 @@ class DiscretizationError(LiquidSsmError, ArithmeticError):
     """The bilinear-transform solve hit a singular (I - dt/2 A)."""
 
 
-class PoleError(LiquidSsmError, ArithmeticError):
-    """A Cauchy-kernel evaluation point coincides with a pole."""
-
-
-class WoodburySingularError(LiquidSsmError, ArithmeticError):
-    """The rank-1 Woodbury correction term 1 + k11 vanished."""
-
-
 class DivergedStateError(LiquidSsmError, ArithmeticError):
     """A recurrence produced a non-finite or runaway state."""
 

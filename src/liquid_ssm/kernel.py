@@ -1,22 +1,22 @@
-"""Convolution-kernel generation: naive power iteration and the
-generating-function path.
+"""Convolution-kernel generation: naive power iteration and the Krylov-block
+path.
 
 The naive path materializes taps[i] = <c_bar, a_bar^i b_bar> one structured
-matrix-vector product at a time and serves as the oracle. The fast path
-evaluates the truncated generating function at the unit roots of a frequency
-grid through one blocked Cauchy pass -- one reciprocal block and one
-(N, 4) weight matmul per block of nodes -- plus a rank-1 Woodbury
-combination, then recovers the taps with an inverse transform. A system
-with a LegS ``basis`` (set only by ``nplr_decompose``, dropped by any edit)
-has a real response: only its size//2 + 1 non-negative frequencies are
-evaluated and a real inverse FFT recovers the taps; any other system is
-evaluated on the full grid. The naive and fast paths must agree to 1e-8
-relative L-infinity on any stable system. ``bench_kernel`` times both with
-``_best_of``, the one round-robin timer of the package.
+matrix-vector product at a time and serves as the oracle. The fast path cuts
+the L taps into rows of T = ceil(sqrt(L)): tap jT + i is
+<(a_bar*)^i c_bar, (a_bar^T)^j b_bar>, so a left block of T Krylov vectors
+of c_bar under a_bar*, a right block of ceil(L/T) Krylov vectors of b_bar
+under one matrix power a_bar^T, and one complex matrix product give every
+tap. This is the chunked form of the recurrent view; no frequency grid, pole
+or rank-1 combination is involved, and it stays accurate at any step. The
+naive and fast paths must agree to 1e-8 relative L-infinity on any stable
+system. ``bench_kernel`` times both with ``_best_of``, the one round-robin
+timer of the package.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -24,12 +24,8 @@ from functools import partial
 
 import numpy as np
 
-from .conv import next_pow2
-from .errors import DimensionError, PoleError, WoodburySingularError
+from .errors import DimensionError
 from .ssm import DiscreteSystem, DplrSystem, discretize_bilinear
-
-POLE_TOLERANCE = 1e-14
-CAUCHY_BLOCK = 2**16  # (node, pole) grid entries per block of the Cauchy pass
 
 
 @dataclass(frozen=True)
@@ -38,9 +34,8 @@ class Kernel:
 
     ``residual_imag`` records the largest imaginary magnitude discarded when
     taking real parts; it stays below 1e-6 for any system equivalent to a
-    real one (conjugate-symmetric spectrum with a rotated real output map).
-    It is 0.0 by construction for a generating-function kernel of a system
-    with a LegS ``basis``, whose half-spectrum inverse FFT is real.
+    real one (such as a LegS system rotated into its DPLR basis, whose
+    output map is rotated the same way), where it measures rounding alone.
     """
 
     taps: np.ndarray
@@ -51,13 +46,6 @@ class Kernel:
         if t.ndim != 1 or not np.all(np.isfinite(t)):
             raise DimensionError("taps must be a finite 1-D sequence")
         object.__setattr__(self, "taps", t)
-
-
-def unit_roots(l: int, count: int | None = None) -> np.ndarray:
-    """The first ``count`` (default all L) nodes omega_k = exp(2 pi i k / L) of the frequency grid."""
-    if l < 1:
-        raise DimensionError(f"need l >= 1, got {l}")
-    return np.exp(2j * np.pi * np.arange(l if count is None else count) / l)
 
 
 def _rel_linf(got: np.ndarray, want: np.ndarray) -> float:
@@ -72,96 +60,59 @@ def _krylov(a: np.ndarray, x: np.ndarray, l: int) -> Iterator[np.ndarray]:
         x = a @ x
 
 
+def _krylov_block(a: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
+    """The (l, N) block whose row i is a^i x, filled from ``_krylov``.
+
+    Allocated first, so an l beyond memory fails before any step is taken.
+    """
+    block = np.empty((l, len(x)), dtype=np.result_type(a, x))
+    for row, v in zip(block, _krylov(a, x, l)):
+        row[...] = v
+    return block
+
+
 def _impulse_response(d: DiscreteSystem, l: int) -> np.ndarray:
-    """Complex taps <c_bar, a_bar^i b_bar> for i = 0..l-1, streamed from ``_krylov``."""
+    """Oracle complex taps <c_bar, a_bar^i b_bar> for i = 0..l-1, streamed from ``_krylov``."""
     return np.fromiter((np.vdot(d.c_bar, x) for x in _krylov(d.a_bar, d.b_bar, l)), complex, l)
+
+
+def _complex_kernel(taps: np.ndarray) -> Kernel:
+    return Kernel(taps=taps.real, residual_imag=float(np.max(np.abs(taps.imag))))
 
 
 def kernel_naive(d: DiscreteSystem, l: int) -> Kernel:
     """Oracle kernel: l structured matrix-vector products, O(l * N^2)."""
     if l < 1:
         raise DimensionError(f"need l >= 1, got {l}")
-    taps = _impulse_response(d, l)
-    return Kernel(taps=taps.real, residual_imag=float(np.max(np.abs(taps.imag))))
+    return _complex_kernel(_impulse_response(d, l))
 
 
-def truncate_generating_c(d: DiscreteSystem, l: int) -> np.ndarray:
-    """Output map of the length-l truncated generating function.
+def _genfn_kernel(d: DiscreteSystem, l: int) -> Kernel:
+    """``kernel_genfn`` on the discretized system ``d``.
 
-    Returns c~ = (I - a_bar^l)* c_bar with the matrix power computed by
-    repeated squaring. For a contractive a_bar, ||c~ - c_bar|| is bounded by
-    ||a_bar^l|| ||c_bar|| and vanishes as l grows.
+    With T = ceil(sqrt(l)), row i of the left block is (a_bar*)^i c_bar and
+    row j of the right block (a_bar^T)^j b_bar, so entry (j, i) of their
+    product is tap jT + i; the last row is cut at l.
     """
     if l < 1:
         raise DimensionError(f"need l >= 1, got {l}")
-    m = np.eye(d.n) - np.linalg.matrix_power(d.a_bar, l)
-    return m.conj().T @ d.c_bar
-
-
-def _cauchy_grid(w: np.ndarray, nodes: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Cauchy sums sum_n w[n, j] / (z - lam_n) at each node z, one column per weight.
-
-    Walks the nodes in blocks of about ``CAUCHY_BLOCK`` grid entries, so no (L, N)
-    array is built: each block's z - lam is formed once, pole-checked, inverted in
-    place and contracted with every weight column in one BLAS matmul.
-    """
-    out = np.empty((len(nodes), w.shape[1]), dtype=complex)
-    rows = max(1, CAUCHY_BLOCK // len(lam))
-    for start in range(0, len(nodes), rows):
-        diff = nodes[start : start + rows, None] - lam
-        if np.any(diff.real**2 + diff.imag**2 < POLE_TOLERANCE**2):
-            raise PoleError("a frequency node hit an eigenvalue of the diagonal part")
-        np.reciprocal(diff, out=diff)
-        np.matmul(diff, w, out=out[start : start + rows])
-    return out
-
-
-def _genfn_kernel(sys: DplrSystem, d: DiscreteSystem, l: int) -> Kernel:
-    """``kernel_genfn`` on the discretization ``d`` of ``sys``."""
-    if l < 1:
-        raise DimensionError(f"need l >= 1, got {l}")
-    dt, size = d.dt, next_pow2(l)
-    ct = truncate_generating_c(d, size)
-    # a LegS basis proves a real response; nodes 0..size//2 fix its conjugate-symmetric spectrum
-    omega = unit_roots(size, size // 2 + 1 if sys.basis is not None else size)
-    half = size // 2 if size % 2 == 0 else None  # omega = -1 node, singular prefactor
-    w = np.stack([np.conj(v) * x for v in (ct, sys.p) for x in (sys.b, sys.p)], axis=1)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = (2.0 / dt) * (1.0 - omega) / (1.0 + omega)
-        k00, k01, k10, k11 = _cauchy_grid(w, g, sys.lam).T
-        denom = 1.0 + k11
-        singular = np.abs(denom) < POLE_TOLERANCE
-        if half is not None:
-            singular[half] = False
-        if np.any(singular):
-            raise WoodburySingularError("1 + k11 vanished at a frequency node")
-        khat = 2.0 / (1.0 + omega) * (k00 - k01 * k10 / denom)
-    if half is not None:
-        # Analytic value at omega = -1: the resolvent collapses to (dt/2) B
-        # there, so the sample is (dt/2) <c~, B> (finite limit of the
-        # divergent-prefactor product).
-        khat[half] = 0.5 * dt * np.vdot(ct, sys.b)
-    # Samples live at omega^{+i}, so the forward transform (scaled) inverts
-    # the evaluation map; on the half grid that is the real inverse transform
-    # of the conjugate spectrum.
-    if sys.basis is not None:
-        return Kernel(taps=np.fft.irfft(np.conj(khat), n=size)[:l], residual_imag=0.0)
-    taps = (np.fft.fft(khat) / size)[:l]
-    return Kernel(taps=taps.real, residual_imag=float(np.max(np.abs(taps.imag))))
+    t = math.isqrt(l - 1) + 1
+    taps = np.empty((-(-l // t), t), dtype=complex)  # first, so an l beyond memory fails before any work
+    left = _krylov_block(d.a_bar.conj().T, d.c_bar, t)
+    right = _krylov_block(np.linalg.matrix_power(d.a_bar, t), d.b_bar, len(taps))
+    np.matmul(right, left.conj().T, out=taps)
+    return _complex_kernel(taps.ravel()[:l])
 
 
 def kernel_genfn(sys: DplrSystem, dt: float, l: int) -> Kernel:
-    """Frequency-domain kernel generation.
+    """Krylov-block kernel generation, O(N^3 log L + sqrt(L) N^2 + L N).
 
-    Computes the truncated generating function, samples it at the unit roots
-    (only the non-negative frequencies when ``sys.basis`` is set) through
-    one blocked Cauchy pass combined by the rank-1 Woodbury identity, and
-    recovers the taps with an inverse transform. Non-power-of-two lengths
-    are generated at the next power of two and truncated, which is exact
-    because tap i never depends on the requested length.
+    Discretizes ``sys`` at ``dt`` and returns its first l taps
+    <c_bar, a_bar^k b_bar> from one left Krylov block of T = ceil(sqrt(l))
+    rows, one right block of ceil(l/T) rows under a_bar^T, and their
+    product. The name is kept from the generating-function pass it replaced.
     """
-    return _genfn_kernel(sys, discretize_bilinear(sys, dt), l)
+    return _genfn_kernel(discretize_bilinear(sys, dt), l)
 
 
 def _best_of(calls: list[Callable[[], object]], rounds: int) -> list[float]:
@@ -185,7 +136,7 @@ def bench_kernel(
     l_list: list[int],
     repeats: int = 3,
 ) -> dict:
-    """Time the naive and generating-function paths over a length sweep.
+    """Time the naive and Krylov-block paths over a length sweep.
 
     The agreement check runs first and doubles as the warm-up; then
     ``_best_of`` takes ``repeats`` round-robin passes over every (path, L)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .conv import _recurrence
 from .errors import DimensionError
-from .kernel import _impulse_response
+from .kernel import _impulse_response, _krylov_block
 from .ssm import DiscreteSystem, DplrSystem, discretize_bilinear
 
 DEFAULT_WINDOW_DIVISOR = 64
@@ -80,12 +80,12 @@ def correlation_signals(u: np.ndarray, max_order: int) -> Iterator[np.ndarray]:
 
 
 def _kb_taps_discrete(d: DiscreteSystem, p: int, window: int) -> np.ndarray:
-    """Complex lag-ordered KB taps: the impulse response with b_bar ** p as input map."""
+    """Oracle complex KB taps: the impulse response with b_bar ** p as input map."""
     return _impulse_response(replace(d, b_bar=d.b_bar**p), window)
 
 
 def _pb_taps_discrete(d: DiscreteSystem, p: int, window: int) -> np.ndarray:
-    """Complex PB taps: the scalar contraction kappa_p repeated window times."""
+    """Oracle complex PB taps: the scalar contraction kappa_p repeated window times."""
     kappa = np.vdot(d.c_bar, d.b_bar**p)
     return np.full(window, kappa)
 
@@ -98,17 +98,26 @@ def build_liquid_kernels(
 
 
 def _liquid_kernels(d: DiscreteSystem, mode: str, max_order: int, window: int) -> LiquidKernelSet:
-    """``build_liquid_kernels`` on the discretized system ``d``."""
+    """``build_liquid_kernels`` on the discretized system ``d``.
+
+    Row i of the left Krylov block is (a_bar*)^i c_bar, as in the main
+    kernel, so its product with b_bar ** p gives the KB taps of order p; the
+    PB taps are row 0 of that product, repeated.
+    """
     if mode not in ("kb", "pb"):
         raise DimensionError(f"unknown liquid mode {mode!r}")
     if max_order < 2:
         raise DimensionError("max_order must be at least 2")
     if window < 1:
         raise DimensionError(f"need window >= 1, got {window}")
-    compute = _kb_taps_discrete if mode == "kb" else _pb_taps_discrete
-    complex_taps = [compute(d, p, window) for p in range(2, max_order + 1)]
-    residual = max(float(np.max(np.abs(t.imag))) for t in complex_taps)
-    return LiquidKernelSet(taps=tuple(t.real for t in complex_taps), residual_imag=residual)
+    left = _krylov_block(d.a_bar.conj().T, d.c_bar, window if mode == "kb" else 1)
+    powers = np.stack([d.b_bar**p for p in range(2, max_order + 1)])
+    complex_taps = powers @ left.conj().T
+    if mode == "pb":
+        complex_taps = np.repeat(complex_taps, window, axis=1)
+    return LiquidKernelSet(
+        taps=tuple(complex_taps.real), residual_imag=float(np.max(np.abs(complex_taps.imag)))
+    )
 
 
 def liquid_oracle(

@@ -22,7 +22,7 @@ Trainable parameters: the 1 -> H input lift, the per-layer per-feature
 complex output maps, per-order gains, and the readout. The
 diagonal-plus-low-rank core and the step sizes stay frozen at their LegS
 initialization. Each layer draws its systems from ``pipeline.feature_systems``
-and stacks their Krylov bases once from ``kernel._krylov``, so every forward
+and stacks their Krylov bases once from ``kernel._krylov_block``, so every forward
 pass only contracts the bases with the output maps and makes one
 order-summed ``conv.causal_conv`` call per layer (at training sizes, a few
 banded-Toeplitz matmuls).
@@ -44,7 +44,7 @@ import numpy as np
 
 from .conv import SequenceBatch, causal_conv
 from .errors import DimensionError, DivergedStateError, ParameterBudgetError
-from .kernel import _krylov
+from .kernel import _krylov_block
 from .liquid import MAX_ORDER, correlation_signals
 from .pipeline import MODES, feature_systems
 from .ssm import DEFAULT_DT_MAX, discretize_bilinear, init_dt_schedule
@@ -131,11 +131,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + x / np.sqrt(1.0 + x * x))
 
 
-def _basis(a: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
-    """The (N, l) Krylov basis [x, a x, ..., a^(l-1) x]."""
-    return np.stack(list(_krylov(a, x, l)), axis=-1)
-
-
 def generate_task(task: SyntheticTask, n: int, seed: int) -> tuple[SequenceBatch, np.ndarray]:
     """Draw a labelled dataset; balanced within ``BALANCE`` per class.
 
@@ -195,8 +190,10 @@ class SequenceClassifier:
             ds = [discretize_bilinear(sys_, dt) for sys_, dt in bank]
             eye = np.eye(layer.state_size)
             orders = range(2, layer.max_order + 1) if layer.mode != "none" else ()
-            self._bases.append([np.stack([_basis(d.a_bar, d.b_bar, seq_length) for d in ds])] + [
-                np.stack([_basis(d.a_bar if layer.mode == "kb" else eye, d.b_bar**p, layer.window) for d in ds])
+            self._bases.append([np.stack([_krylov_block(d.a_bar, d.b_bar, seq_length).T for d in ds])] + [
+                np.stack([
+                    _krylov_block(d.a_bar if layer.mode == "kb" else eye, d.b_bar**p, layer.window).T for d in ds
+                ])
                 for p in orders
             ])
             cs = np.stack([sys_.c for sys_, _ in bank]) / np.sqrt(layer.state_size)

@@ -37,7 +37,7 @@ def forward_liquid_s4(
     u = np.asarray(u, dtype=float)
     l = u.shape[-1]
     d = discretize_bilinear(sys, dt)
-    taps = [_genfn_kernel(sys, d, l).taps]
+    taps = [_genfn_kernel(d, l).taps]
     if mode != "none":
         window = default_window(l) if window is None else window
         if window > l:  # causal_conv would accept the longer taps

@@ -37,12 +37,11 @@ class DplrSystem:
              ``diag(lam) - p p*``.
         b:   (N,) complex input map.
         c:   (N,) complex output map, applied as ``y = conj(c) . x``.
-        basis: the (N, N) unitary V that rotates this system back to the real
-             LegS system with a real output map, so its impulse response is
-             real and the generating-function kernel needs only the
-             non-negative frequencies. Set only by ``nplr_decompose``; not a
-             constructor argument, and ``dataclasses.replace`` drops it, so a
-             hand-built or edited system has none.
+        basis: the (N, N) unitary V with ``V A V* = hippo_legs(N)``, the
+             rotation that reconstructs the LegS matrix (``hippo`` reports and
+             ``verify`` checks its residual). Set only by ``nplr_decompose``;
+             not a constructor argument, and ``dataclasses.replace`` drops
+             it, so a hand-built or edited system has none.
     """
 
     lam: np.ndarray
@@ -181,8 +180,8 @@ def nplr_decompose(n: int, seed: int = 0) -> DplrSystem:
         seed: RNG seed for the output map.
 
     Returns:
-        DplrSystem with ``basis`` set to V (its proof of a real response),
-        satisfying ``V (diag(lam) - (V* P)(V* P)*) V* ~= hippo_legs(n)``.
+        DplrSystem with ``basis`` set to V, the reconstruction rotation
+        ``V (diag(lam) - (V* P)(V* P)*) V* ~= hippo_legs(n)``.
     """
     lam, p, b, v = _legs_core(n)
     c = v.conj().T @ np.random.default_rng(seed).standard_normal(n).astype(complex)

@@ -16,18 +16,13 @@ def scalar_discrete(a: float, b: float, c: float, dt: float = 1.0) -> DiscreteSy
     )
 
 
-def count_fft(monkeypatch, name: str = "irfft", size: int | None = None) -> list:
+def count_fft(monkeypatch, name: str = "irfft") -> list:
     """Record each call of the transform ``np.fft.<name>``; by default the inverse
-    ``irfft``, the one inverse transform of ``causal_conv``'s FFT branch.
-
-    With ``size``, only calls of that transform size count, so a kernel's own
-    half-spectrum transform is told apart from the convolution's.
-    """
+    ``irfft``, the one inverse transform of ``causal_conv``'s FFT branch."""
     calls, transform = [], getattr(np.fft, name)
 
     def counted(*a, **k):
-        if size is None or k.get("n") == size:
-            calls.append(1)
+        calls.append(1)
         return transform(*a, **k)
 
     monkeypatch.setattr(np.fft, name, counted)

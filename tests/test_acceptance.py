@@ -168,7 +168,7 @@ def test_criterion_5_liquid_kernel_semantics():
         for i in range(10)
     )
 
-    from liquid_ssm.liquid import _kb_taps_discrete, _pb_taps_discrete
+    from liquid_ssm.liquid import _liquid_kernels
 
     worst_kb_pb = 0.0
     for trial in range(8):
@@ -179,9 +179,8 @@ def test_criterion_5_liquid_kernel_semantics():
             c_bar=rng.normal(size=n) + 1j * rng.normal(size=n),
             dt=0.1,
         )
-        for p in (2, 3, 4):
-            diff = _kb_taps_discrete(ident, p, 7).real - _pb_taps_discrete(ident, p, 7).real
-            worst_kb_pb = max(worst_kb_pb, float(np.max(np.abs(diff))))
+        kb, pb = (_liquid_kernels(ident, mode, 4, 7).taps for mode in ("kb", "pb"))
+        worst_kb_pb = max(worst_kb_pb, *(float(np.max(np.abs(k - p))) for k, p in zip(kb, pb)))
 
     ok = worst_oracle < 1e-10 and worst_powers <= 1e-12 and worst_kb_pb < 1e-12
     report(

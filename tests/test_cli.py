@@ -81,6 +81,17 @@ class TestKernelCommand:
         assert doc["verify"]["passed"] is True
         assert doc["verify"]["rel_linf"] < 1e-8
 
+    @pytest.mark.parametrize("dt", [1e-12, 1e-300])
+    def test_verify_tiny_step_exit_0(self, tmp_path, dt):
+        # b_bar ~ dt B: at 1e-300 it is near the subnormal range, and any warning fails the run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt_min": dt, "dt_max": dt}))
+        out = tmp_path / "k.json"
+        assert run(["kernel", "--config", str(cfg), "--length", "64", "--verify", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["dt"] == pytest.approx(dt)
+        assert doc["verify"]["rel_linf"] < 1e-8
+
 
 class TestConvolveCommand:
     def test_impulse_reproduces_kernel(self, tmp_path):

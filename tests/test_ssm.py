@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,16 @@ class TestNplrDecompose:
         assert np.array_equal(a.lam, b.lam)
         assert np.array_equal(a.c, b.c)
 
+    def test_basis_set_by_nplr_decompose_only(self):
+        # no constructor argument sets the basis, and any edit drops it
+        sys = nplr_decompose(5, seed=1)
+        assert sys.basis is not None
+        with pytest.raises(TypeError):
+            DplrSystem(lam=sys.lam, p=sys.p, b=sys.b, c=sys.c, basis=sys.basis)
+        assert DplrSystem(lam=sys.lam, p=sys.p, b=sys.b, c=sys.c).basis is None
+        assert replace(sys).basis is None
+        assert replace(sys, c=2.0 * sys.c).basis is None
+
     def test_seed_changes_only_c(self):
         sys = nplr_decompose(8, seed=0)
         redrawn = nplr_decompose(8, seed=99)
@@ -224,7 +235,7 @@ class TestDplrSystemValidation:
             DplrSystem(lam=[np.nan], p=[0.0], b=[1.0], c=[1.0])
 
     def test_empty(self):
-        # an empty system used to reach the Cauchy grid and fail there untyped
+        # an empty system fails typed at construction, before any kernel path sees it
         with pytest.raises(DimensionError):
             DplrSystem(lam=[], p=[], b=[], c=[])
 
