@@ -30,7 +30,6 @@ from .ssm import (
     init_dt_schedule,
     legs_init_vectors,
     nplr_decompose,
-    woodbury_input_map,
 )
 from .verify import CheckResult, run_suite
 
@@ -67,7 +66,6 @@ __all__ = [
     "recurrent_s4",
     "run_suite",
     "train_demo",
-    "woodbury_input_map",
 ]
 
 __version__ = "0.1.0"

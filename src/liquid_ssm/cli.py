@@ -25,11 +25,19 @@ from functools import partial
 import numpy as np
 
 from . import errors, seqio
-from .kernel import _best_of, _rel_linf, bench_kernel, kernel_genfn, kernel_naive
-from .liquid import MAX_ORDER, build_liquid_kernels, default_window
+from .kernel import _best_of, _genfn_kernel, _rel_linf, bench_kernel, kernel_naive
+from .liquid import MAX_ORDER, _liquid_kernels, build_liquid_kernels, default_window
 from .model import TASK_NAMES, LayerConfig, ModelStack, SequenceClassifier, SyntheticTask, train_demo
 from .pipeline import MODES, feature_systems, forward_liquid_s4
-from .ssm import DEFAULT_DT_MAX, DplrSystem, discretize_bilinear, hippo_legs, init_dt_schedule, nplr_decompose
+from .ssm import (
+    DEFAULT_DT_MAX,
+    DplrSystem,
+    _legs_core,
+    discretize_bilinear,
+    hippo_legs,
+    init_dt_schedule,
+    nplr_decompose,
+)
 from .verify import run_suite
 
 BENCH_LENGTHS = (1024, 2048, 4096, 8192, 16384)
@@ -142,7 +150,8 @@ def emit(document: dict, out_path: str | None):
 def cmd_hippo(cfg: RunConfig, args) -> int:
     a = hippo_legs(cfg.state)
     sys_ = nplr_decompose(cfg.state)
-    rec = sys_.basis @ sys_.a_dense() @ sys_.basis.conj().T
+    v = _legs_core(cfg.state)[3]
+    rec = v @ sys_.a_dense() @ v.conj().T
     doc = {
         "command": "hippo",
         "state_size": cfg.state,
@@ -171,7 +180,8 @@ def _systems(cfg: RunConfig, h: int, length: int) -> list[tuple[DplrSystem, floa
 def cmd_kernel(cfg: RunConfig, args) -> int:
     (sys_, dt), = _systems(cfg, 1, cfg.length)
     t0 = time.perf_counter()
-    fast = kernel_genfn(sys_, dt, cfg.length)
+    d = discretize_bilinear(sys_, dt)  # once, for the kernel, the liquid taps and the oracle
+    fast = _genfn_kernel(d, cfg.length)
     genfn_ms = 1e3 * (time.perf_counter() - t0)
     doc = {
         "command": "kernel",
@@ -184,7 +194,7 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
     }
     if cfg.mode != "none":
         window = cfg.resolved_window()
-        kset = build_liquid_kernels(sys_, dt, cfg.mode, cfg.order, window)
+        kset = _liquid_kernels(d, cfg.mode, cfg.order, window)
         doc["liquid"] = {
             "mode": cfg.mode,
             "window": window,
@@ -194,7 +204,7 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
     status = 0
     if args.verify:
         t0 = time.perf_counter()
-        naive = kernel_naive(discretize_bilinear(sys_, dt), cfg.length)
+        naive = kernel_naive(d, cfg.length)
         naive_ms = 1e3 * (time.perf_counter() - t0)
         rel = _rel_linf(fast.taps, naive.taps)
         doc["verify"] = {

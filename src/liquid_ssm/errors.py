@@ -14,7 +14,7 @@ class DecompositionError(LiquidSsmError, ArithmeticError):
 
 
 class DiscretizationError(LiquidSsmError, ArithmeticError):
-    """The bilinear-transform solve hit a singular (I - dt/2 A)."""
+    """The bilinear-transform solve hit a singular (I - dt/2 A) or overflowed."""
 
 
 class DivergedStateError(LiquidSsmError, ArithmeticError):

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,18 +37,12 @@ class DplrSystem:
              ``diag(lam) - p p*``.
         b:   (N,) complex input map.
         c:   (N,) complex output map, applied as ``y = conj(c) . x``.
-        basis: the (N, N) unitary V with ``V A V* = hippo_legs(N)``, the
-             rotation that reconstructs the LegS matrix (``hippo`` reports and
-             ``verify`` checks its residual). Set only by ``nplr_decompose``;
-             not a constructor argument, and ``dataclasses.replace`` drops
-             it, so a hand-built or edited system has none.
     """
 
     lam: np.ndarray
     p: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    basis: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         for name in ("lam", "p", "b", "c"):
@@ -74,13 +68,13 @@ class DiscreteSystem:
     """Discrete-time transition operators produced by the bilinear transform.
 
     ``a_bar`` is kept dense (N, N); at desk scale this doubles as the oracle
-    representation for every recurrent reference path.
+    representation for every recurrent reference path. The step is folded
+    into ``a_bar`` and ``b_bar`` and not kept.
     """
 
     a_bar: np.ndarray
     b_bar: np.ndarray
     c_bar: np.ndarray
-    dt: float
 
     def __post_init__(self):
         object.__setattr__(self, "a_bar", np.asarray(self.a_bar, dtype=complex))
@@ -89,8 +83,6 @@ class DiscreteSystem:
         n = self.b_bar.shape[0]
         if self.a_bar.shape != (n, n) or self.c_bar.shape != (n,):
             raise DimensionError("inconsistent operator shapes")
-        if not self.dt > 0:
-            raise DimensionError("dt must be positive")
 
     @property
     def n(self) -> int:
@@ -137,7 +129,9 @@ def legs_init_vectors(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _legs_core(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Seed-independent DPLR core (lam, p, b, V) of the LegS matrix, one eigensolve per n.
 
-    Cached, so every caller shares the returned arrays; they are read-only.
+    V is the unitary rotation with ``V A V* = hippo_legs(n)``; ``hippo``
+    reports and ``verify`` checks its reconstruction residual. Cached, so
+    every caller shares the returned arrays; they are read-only.
     """
     a = hippo_legs(n)
     b0, p0 = legs_init_vectors(n)
@@ -172,22 +166,21 @@ def nplr_decompose(n: int, seed: int = 0) -> DplrSystem:
     rotated by ``V*``; the output map c is a fresh standard-normal real vector
     rotated the same way (seeded), which keeps kernels of the rotated system
     real to machine precision. The eigensolve does not depend on the seed and
-    runs once per n (``_legs_core``); the returned system shares its
-    read-only lam, p, b and basis arrays with every other system of that n.
+    runs once per n (``_legs_core``, which also returns V, the reconstruction
+    rotation ``V (diag(lam) - (V* P)(V* P)*) V* ~= hippo_legs(n)``); the
+    returned system shares its read-only lam, p and b arrays with every other
+    system of that n.
 
     Args:
         n: state dimension.
         seed: RNG seed for the output map.
 
     Returns:
-        DplrSystem with ``basis`` set to V, the reconstruction rotation
-        ``V (diag(lam) - (V* P)(V* P)*) V* ~= hippo_legs(n)``.
+        DplrSystem whose state matrix is the LegS matrix rotated by V.
     """
     lam, p, b, v = _legs_core(n)
     c = v.conj().T @ np.random.default_rng(seed).standard_normal(n).astype(complex)
-    sys = DplrSystem(lam=lam, p=p, b=b, c=c)
-    object.__setattr__(sys, "basis", v)
-    return sys
+    return DplrSystem(lam=lam, p=p, b=b, c=c)
 
 
 def discretize_bilinear(sys: DplrSystem, dt: float) -> DiscreteSystem:
@@ -197,42 +190,26 @@ def discretize_bilinear(sys: DplrSystem, dt: float) -> DiscreteSystem:
         b_bar = (I - dt/2 A)^{-1} dt B
         c_bar = C
 
-    with A = diag(lam) - p p*. Eigenvalues with nonpositive real part map
-    into the closed unit disk for any dt > 0.
+    with A = diag(lam) - p p*, from one factorization of (I - dt/2 A) solved
+    against the stacked right-hand side [I + dt/2 A | dt B]. Eigenvalues with
+    nonpositive real part map into the closed unit disk for any dt > 0. A
+    singular factor or a step so large that the operators overflow raises
+    ``DiscretizationError``.
     """
     if not dt > 0:
         raise DimensionError(f"dt must be positive, got {dt}")
     a = sys.a_dense()
     n = sys.n
-    m = np.eye(n) - 0.5 * dt * a
-    try:
-        a_bar = np.linalg.solve(m, np.eye(n) + 0.5 * dt * a)
-        b_bar = np.linalg.solve(m, dt * sys.b)
-    except np.linalg.LinAlgError as exc:
-        raise DiscretizationError(f"(I - dt/2 A) is singular for dt={dt}") from exc
-    if not (np.all(np.isfinite(a_bar)) and np.all(np.isfinite(b_bar))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * dt * a
+        rhs = np.column_stack([np.eye(n) + half, dt * sys.b])
+        try:
+            x = np.linalg.solve(np.eye(n) - half, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise DiscretizationError(f"(I - dt/2 A) is singular for dt={dt}") from exc
+    if not np.all(np.isfinite(x)):
         raise DiscretizationError(f"discretization produced non-finite values at dt={dt}")
-    return DiscreteSystem(a_bar=a_bar, b_bar=b_bar, c_bar=sys.c, dt=dt)
-
-
-def woodbury_input_map(sys: DplrSystem, dt: float) -> np.ndarray:
-    """Structured evaluation of b_bar: diagonal solve plus rank-1 correction.
-
-    Solves (D + (dt/2) p p*) x = dt B with D = I - (dt/2) diag(lam) using the
-    rank-1 Woodbury identity, avoiding any dense factorization. Must agree
-    with the dense path of ``discretize_bilinear`` to 1e-10.
-    """
-    if not dt > 0:
-        raise DimensionError(f"dt must be positive, got {dt}")
-    d = 1.0 - 0.5 * dt * sys.lam
-    if np.any(np.abs(d) < 1e-300):
-        raise DiscretizationError("diagonal factor vanished in structured solve")
-    y = dt * sys.b / d
-    w = sys.p / d
-    denom = 2.0 / dt + np.vdot(sys.p, w)
-    if abs(denom) < 1e-300:
-        raise DiscretizationError("rank-1 correction denominator vanished")
-    return y - w * (np.vdot(sys.p, y) / denom)
+    return DiscreteSystem(a_bar=x[:, :n], b_bar=x[:, n], c_bar=sys.c)
 
 
 def init_dt_schedule(

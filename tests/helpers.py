@@ -7,12 +7,11 @@ from liquid_ssm.ssm import DiscreteSystem
 from liquid_ssm.verify import _random_system as random_stable_system  # noqa: F401
 
 
-def scalar_discrete(a: float, b: float, c: float, dt: float = 1.0) -> DiscreteSystem:
+def scalar_discrete(a: float, b: float, c: float) -> DiscreteSystem:
     return DiscreteSystem(
         a_bar=np.array([[a]], dtype=complex),
         b_bar=np.array([b], dtype=complex),
         c_bar=np.array([c], dtype=complex),
-        dt=dt,
     )
 
 

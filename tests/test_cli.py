@@ -92,6 +92,30 @@ class TestKernelCommand:
         assert doc["dt"] == pytest.approx(dt)
         assert doc["verify"]["rel_linf"] < 1e-8
 
+    @pytest.mark.parametrize("dt, code", [(1e307, 0), (1e308, 2)])
+    def test_huge_step_exit_code(self, tmp_path, capsys, dt, code):
+        # dt/2 A overflows only at 1e308, which ends in one typed error line and no numpy warning
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt_min": dt, "dt_max": dt}))
+        assert run(["kernel", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == (code != 0)
+        assert all(line.startswith("error:") for line in err)
+
+    def test_kb_verify_discretizes_once(self, tmp_path, monkeypatch):
+        # the kernel, the liquid taps and the naive oracle share one discretized system
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return discretize_bilinear(*args)
+
+        for module in ("cli", "kernel", "liquid"):
+            monkeypatch.setattr(f"liquid_ssm.{module}.discretize_bilinear", counted)
+        out = tmp_path / "k.json"
+        assert run(["kernel", "--mode", "kb", "--verify", "--length", "64", "--out", str(out)]) == 0
+        assert len(calls) == 1
+
 
 class TestConvolveCommand:
     def test_impulse_reproduces_kernel(self, tmp_path):

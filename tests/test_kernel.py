@@ -46,7 +46,7 @@ class TestKernelNaive:
         assert k.taps == pytest.approx([2.0, 1.0, 0.5, 0.25])
 
     def test_identity_transition_constant(self):
-        d = DiscreteSystem(a_bar=np.eye(3), b_bar=np.ones(3), c_bar=np.array([1.0, 2.0, 3.0]), dt=0.5)
+        d = DiscreteSystem(a_bar=np.eye(3), b_bar=np.ones(3), c_bar=np.array([1.0, 2.0, 3.0]))
         k = kernel_naive(d, 3)
         assert k.taps == pytest.approx([6.0, 6.0, 6.0])
 

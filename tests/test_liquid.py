@@ -90,7 +90,6 @@ class TestKbKernel:
                 a_bar=np.eye(n),
                 b_bar=rng.normal(size=n) + 1j * rng.normal(size=n),
                 c_bar=rng.normal(size=n) + 1j * rng.normal(size=n),
-                dt=0.1,
             )
             for p in (2, 3, 5):
                 kb = kb_taps(d, p, 7)
@@ -124,9 +123,7 @@ class TestPbKernel:
         assert taps.shape == (1,)
 
     def test_orthogonal_output_map(self):
-        d = DiscreteSystem(
-            a_bar=np.eye(2), b_bar=np.array([1.0, 1.0]), c_bar=np.array([1.0, -1.0]), dt=0.1
-        )
+        d = DiscreteSystem(a_bar=np.eye(2), b_bar=np.array([1.0, 1.0]), c_bar=np.array([1.0, -1.0]))
         for p in (2, 3):
             assert pb_taps(d, p, 5) == pytest.approx(np.zeros(5))
 
@@ -176,7 +173,7 @@ class TestLiquidOracle:
         for _ in range(20):
             a = rng.uniform(-0.9, 0.9)
             b, c = rng.normal(size=2)
-            d = scalar_discrete(a, b, c, dt=0.5)
+            d = scalar_discrete(a, b, c)
             u = rng.normal(size=16)
             window = int(rng.integers(1, 17))
             max_order = int(rng.integers(2, 5))
