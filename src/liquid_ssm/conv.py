@@ -1,13 +1,11 @@
 """Every causal convolution in the package, and the exact recurrent reference.
 
-``causal_conv`` sums the convolutions of several (taps, signal) orders and
-picks the algorithm per order. A small input puts every order through one
-(L, L) Toeplitz band. Otherwise an order of at most ``BAND_TAPS`` taps (the
-short liquid windows) goes through a blocked Toeplitz band, and the longer
-orders (the main kernel) share one summed spectrum and its one inverse FFT;
-the two partial sums are added in the time domain. Both algorithms and the
-direct O(L^2) summation ``causal_conv_direct`` are deliberately independent
-implementations of the same contract; tests hold them to 1e-10 of each other.
+``causal_conv`` sums the convolutions of several (taps, signal) orders in
+one loop that picks the algorithm per order: a Toeplitz band product for a
+small input or short taps (the liquid windows), and one summed spectrum with
+one inverse FFT for the long orders (the main kernel). The band, the FFT and
+the direct O(L^2) summation ``causal_conv_direct`` are deliberately
+independent implementations of one contract; tests hold them to 1e-10.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import iadd
 
 import numpy as np
@@ -56,21 +54,6 @@ def _checked_taps(taps: np.ndarray, u: np.ndarray) -> np.ndarray:
     if taps.ndim == 2 and (u.ndim < 2 or u.shape[-2] != taps.shape[0]):
         raise DimensionError(f"per-feature taps {taps.shape} need u shaped (..., {taps.shape[0]}, L)")
     return taps
-
-
-def _spectral_sum(pairs: Iterable[tuple[np.ndarray, np.ndarray]], l: int, lk: int) -> np.ndarray:
-    """Summed causal convolution of (taps, signal) pairs by one inverse FFT of the summed spectra.
-
-    Zero-padding to a power of two >= L + L_k - 1 makes the circular transform linear.
-    """
-    size = next_pow2(l + lk - 1)
-
-    def term(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfft(x, n=size)
-        spectrum *= np.fft.rfft(t, n=size)  # in place, like the sum: one spectrum per order at a time
-        return spectrum
-
-    return np.fft.irfft(reduce(iadd, (term(t, x) for t, x in pairs)), n=size)[..., :l]
 
 
 @lru_cache(maxsize=32)
@@ -118,46 +101,48 @@ def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterabl
     the last axis. ``taps`` holds one tap set per order: either one (L_k,)
     sequence, against which the leading axes of the signal broadcast, or
     per-feature (H, L_k) taps against a signal shaped (..., H, L). ``u``
-    holds the matching signals of one shape, possibly from a generator; one
-    tap array and one signal are the one-order case.
+    holds one signal per order, all of one shape, possibly from a generator;
+    one tap array and one signal are the one-order case. Any other count or
+    shape of signals raises ``DimensionError``.
 
-    Picks the algorithm per order. When L <= 64, or when L <= 256 and at
-    least L sequences share each band (per-feature taps give every feature
-    its own band), every order is one product with its (L, L) Toeplitz band.
-    Otherwise an order of at most ``BAND_TAPS`` taps is a blocked product
-    with a (L_k, 2 L_k) band, taken as soon as its signal arrives, and the
-    longer orders add their spectra for one inverse FFT; the two partial
-    sums are added in the time domain.
+    One loop over the orders. When L <= ``BAND_TAPS``, or when L <= 256 and
+    at least L sequences share each band (per-feature taps give every
+    feature its own band), every order is one product with its (L, L)
+    Toeplitz band. Otherwise an order of at most ``BAND_TAPS`` taps is a
+    blocked product with a (L_k, 2 L_k) band, taken as soon as its signal
+    arrives, and each longer order adds its spectrum to one sum, inverted
+    once after the loop and added to the banded sum.
     """
     if isinstance(taps, np.ndarray):
         taps, u = (taps,), (u,)
     signals = iter(u)
-    first = np.asarray(next(signals), dtype=float)
+    first = np.asarray(next(signals, None), dtype=float)  # no signal at all reads as 0-d
+    if first.ndim == 0:
+        raise DimensionError("need one signal per tap set, each with a time axis")
     taps = [_checked_taps(t, first) for t in taps]
-    rest = (np.asarray(x, dtype=float) for x in signals)
     l = first.shape[-1]
     bands = max((t.shape[0] for t in taps if t.ndim == 2), default=1)
-    if l <= 64 or (l <= 256 and first.size // bands >= l * l):
-        pairs = zip(taps, itertools.chain([first], rest), strict=True)
-        return reduce(iadd, (_band_product(t, x, l) for t, x in pairs))  # summed in place
-    # the first signal is held anyway, so it comes last: no spectrum is alive while short orders are banded
-    pairs = itertools.chain(zip(taps[1:], rest, strict=True), [(taps[0], first)])
-    long_lk = max((t.shape[-1] for t in taps if t.shape[-1] > BAND_TAPS), default=0)
-    if not long_lk:
-        return reduce(iadd, (_band_product(t, x, t.shape[-1]) for t, x in pairs))
-    banded = None
-
-    def long_pairs():  # a short order met on the way is banded at once, so no signal is held
-        nonlocal banded
-        for t, x in pairs:
-            if t.shape[-1] > BAND_TAPS:
-                yield t, x
-            else:
-                part = _band_product(t, x, t.shape[-1])
-                banded = part if banded is None else iadd(banded, part)
-
-    y = _spectral_sum(long_pairs(), l, long_lk)
-    return y if banded is None else iadd(y, banded)
+    one_block = l <= BAND_TAPS or (l <= 256 and first.size // bands >= l * l)
+    head, rest = itertools.zip_longest(taps[:1], [first]), itertools.zip_longest(taps[1:], signals)
+    y = spectrum = None
+    # above one block order 1 comes last: no spectrum is alive while short orders are banded
+    for t, x in itertools.chain(head, rest) if one_block else itertools.chain(rest, head):
+        x = np.asarray(x, dtype=float)
+        if t is None or x.shape != first.shape:
+            raise DimensionError(f"{len(taps)} tap sets need as many signals, all shaped {first.shape}")
+        if one_block or t.shape[-1] <= BAND_TAPS:
+            part = _band_product(t, x, l if one_block else t.shape[-1])
+            y = part if y is None else iadd(y, part)
+        else:
+            size = next_pow2(l + max(t.shape[-1] for t in taps) - 1)  # padded: the transform is linear
+            part = np.fft.rfft(x, n=size)
+            part *= np.fft.rfft(t, n=size)  # in place, like the sums: one spectrum per order at a time
+            spectrum = part if spectrum is None else iadd(spectrum, part)
+        del part  # no partial outlives its sum
+    if spectrum is not None:  # the spectrum is dropped before the sum, which takes a ufunc buffer
+        part, spectrum = np.fft.irfft(spectrum, n=size)[..., :l], None
+        y = part if y is None else iadd(y, part)
+    return y
 
 
 def causal_conv_direct(taps: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -60,12 +60,20 @@ def _krylov(a: np.ndarray, x: np.ndarray, l: int) -> Iterator[np.ndarray]:
         x = a @ x
 
 
+def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``np.empty``, raising ``MemoryError`` also for a size numpy refuses outright."""
+    try:
+        return np.empty(shape, dtype)
+    except ValueError as exc:  # a dimension or byte count beyond the address space
+        raise MemoryError(f"cannot allocate an array of shape {shape}: {exc}") from exc
+
+
 def _krylov_block(a: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
     """The (l, N) block whose row i is a^i x, filled from ``_krylov``.
 
     Allocated first, so an l beyond memory fails before any step is taken.
     """
-    block = np.empty((l, len(x)), dtype=np.result_type(a, x))
+    block = _empty((l, len(x)), np.result_type(a, x))
     for row, v in zip(block, _krylov(a, x, l)):
         row[...] = v
     return block
@@ -97,7 +105,7 @@ def _genfn_kernel(d: DiscreteSystem, l: int) -> Kernel:
     if l < 1:
         raise DimensionError(f"need l >= 1, got {l}")
     t = math.isqrt(l - 1) + 1
-    taps = np.empty((-(-l // t), t), dtype=complex)  # first, so an l beyond memory fails before any work
+    taps = _empty((-(-l // t), t), complex)  # first, so an l beyond memory fails before any work
     left = _krylov_block(d.a_bar.conj().T, d.c_bar, t)
     right = _krylov_block(np.linalg.matrix_power(d.a_bar, t), d.b_bar, len(taps))
     np.matmul(right, left.conj().T, out=taps)

@@ -123,8 +123,7 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     res = float(np.max(np.abs(recurrent_s4(d, impulse) - kernel_naive(d, 48).taps)))
     results.append(_result("impulse_response_equals_taps", res, 1e-12))
 
-    # one sequence longer than 64 samples: taps longer than BAND_TAPS take causal_conv's FFT branch,
-    # shorter ones its blocked band
+    # one 128-sample sequence, above the one-block size: 96 taps take the FFT, 24 the blocked band
     taps = rng.normal(0.0, 1.0, 24)
     u = rng.normal(0.0, 1.0, 128)
     long_taps = rng.normal(0.0, 1.0, 96)
@@ -175,6 +174,13 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
             *_, corr = correlation_signals(alpha * u, p)
             res = max(res, float(np.max(np.abs(causal_conv(taps, corr) - alpha**p * base))))
     results.append(_result("liquid_degree_scaling", res, 1e-9))
+
+    # three orders in one sum, the 96-tap one second: causal_conv's blocked band and FFT share one call
+    taps = [rng.normal(0.0, 1.0, lk) for lk in (24, 96, 8)]
+    signals = rng.normal(0.0, 1.0, (3, 128))
+    want = sum(causal_conv_direct(t, x) for t, x in zip(taps, signals))
+    res = np.max(np.abs(causal_conv(taps, signals) - want))
+    results.append(_result("summed_conv_matches_direct_sum", res, 1e-10))
 
     return results
 

@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from liquid_ssm import cli, errors, seqio
 from liquid_ssm.cli import main
 from liquid_ssm.conv import recurrent_s4
 from liquid_ssm.liquid import default_window
-from liquid_ssm.pipeline import feature_systems, forward_liquid_s4
+from liquid_ssm.model import TASK_NAMES
+from liquid_ssm.pipeline import MODES, feature_systems, forward_liquid_s4
 from liquid_ssm.ssm import discretize_bilinear, init_dt_schedule
 
 
@@ -73,6 +77,22 @@ class TestKernelCommand:
         # 2**50 taps need petabytes, more than any 47-bit address space holds
         assert run(["kernel", "--length", str(2**50), "--state", "4", "--mode", "none"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "--length", "1125899906842624"],  # README's example: 16 PiB of taps
+            # sizes numpy refuses outright, before it asks for memory
+            ["kernel", "--length", "100000000000000000000"],
+            ["train-demo", "--length", "100000000000000000000", "--epochs", "1"],
+            ["bench", "--window", "100000000000000000000", "--state", "2"],
+        ],
+    )
+    def test_size_beyond_memory_exit_2(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
     def test_verify_flag_exit_0(self, tmp_path):
         out = tmp_path / "k.json"
@@ -438,3 +458,73 @@ def test_flag_the_command_does_not_read_is_rejected(command, flag, capsys):
         run(argv + [f"--{flag}", "kb" if flag == "mode" else "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# one drawn value per flag a tiny run may set; train-demo always sets epochs and n-train
+TINY_FLAGS = {
+    "seed": st.integers(0, 3),
+    "mode": st.sampled_from(MODES),
+    "order": st.integers(1, 4),
+    "window": st.integers(0, 80),
+    "length": st.integers(0, 80),
+    "state": st.integers(0, 6),
+    "features": st.integers(1, 2),
+    "depth": st.integers(1, 2),
+    "classes": st.integers(2, 3),
+    "lr": st.sampled_from([0.0, 0.15]),
+    "task": st.sampled_from(TASK_NAMES),
+}
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for v in doc for x in _numbers(v)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["hippo", "kernel", "kernel --verify", "convolve .lsq4", "convolve .csv", "train-demo"]),
+    flags=st.fixed_dictionaries({}, optional=TINY_FLAGS),
+    shape=st.tuples(st.integers(0, 3), st.integers(0, 80), st.integers(0, 2)),
+    epochs=st.integers(0, 2),
+    n_train=st.integers(0, 24),
+)
+def test_tiny_run_reports_or_exits_with_one_error_line(tmp_path, command, flags, shape, epochs, n_train):
+    # every tiny run either succeeds with a finite strict-JSON report (or sequence file)
+    # or exits with exactly one error line: no traceback, no NaN
+    name, _, extra = command.partition(" ")
+    read = next(read for cmd, _, read in cli.COMMANDS if cmd == name)
+    argv = [name] + [f"--{k}={v}" for k, v in flags.items() if k in read]
+    values = None
+    if name == "convolve":
+        values = np.random.default_rng(0).normal(0.0, 1.0, shape[:2] + ((1,) if extra == ".csv" else shape[2:]))
+        src, out = tmp_path / f"u{extra}", tmp_path / f"y{extra}"
+        seqio.write_sequences(str(src), values)
+        argv += [str(src), "--out", str(out)]
+    elif extra:
+        argv.append(extra)
+    if name == "train-demo":
+        argv += ["--epochs", str(epochs), "--n-train", str(n_train)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(argv)
+    err = stderr.getvalue().splitlines()
+    if code != 0:
+        # an empty CSV file is a parse failure, exit 3; every other refusal is exit 2
+        assert code == (3 if extra == ".csv" and values.size == 0 else 2), err
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        return
+    assert err == []
+    if values is not None:
+        got = seqio.read_sequences(str(out))
+        assert got.shape == values.shape and np.all(np.isfinite(got))
+    else:
+        doc = json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+        assert all(math.isfinite(x) for x in _numbers(doc))

@@ -107,6 +107,8 @@ class TestCausalConv:
         branches = {}
 
         def recorded(taps, u):
+            if isinstance(taps, list):  # summed_conv_matches_direct_sum: orders of several tap lengths
+                return causal_conv(taps, u)
             y, branches[np.shape(u)[-1], np.shape(taps)[-1]] = conv(taps, u)
             return y
 

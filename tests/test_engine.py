@@ -142,6 +142,27 @@ def test_per_feature_taps_need_matching_feature_axis():
         causal_conv(np.ones((3, 4)), np.ones(16))
 
 
+@pytest.mark.parametrize("l", [10, 100])
+@pytest.mark.parametrize(
+    "taps, shapes",
+    [
+        ([3, 2], [(2,), (2,), (2,)]),  # one signal too many
+        ([3, 2, 2], [(2,), (2,)]),  # one signal too few
+        ([3, 2], [(2,), ()]),  # a later signal of another shape, which would broadcast
+        ([80, 2], [(2,), ()]),
+    ],
+)
+def test_signals_must_match_the_taps_one_each_of_one_shape(l, taps, shapes):
+    with pytest.raises(DimensionError, match="tap sets need as many signals"):
+        causal_conv([np.ones(lk) for lk in taps], (np.ones(shape + (l,)) for shape in shapes))
+
+
+@pytest.mark.parametrize("u", [[], [2.0]])
+def test_no_signal_or_one_without_time_axis_rejected(u):
+    with pytest.raises(DimensionError, match="one signal per tap set"):
+        causal_conv([np.ones(3)], u)
+
+
 @PROPERTY
 @given(
     batch=st.integers(1, 3), h=st.integers(1, 3), l=st.integers(1, 40), p=st.integers(2, 5), seed=seeds

@@ -285,6 +285,19 @@ def test_channel_gradient_matches_oracle(depth, features, state, mode, order, cl
     assert (loss, acc) == model.loss_and_accuracy(u, labels)
 
 
+@pytest.mark.parametrize("mode", ["kb", "pb"])
+@pytest.mark.parametrize("length, n", [(48, 12), (48, 120), (100, 12), (100, 120), (300, 12), (300, 320)])
+def test_one_channel_pass_is_the_all_channel_column(length, n, mode):
+    # an FD probe's one-channel pass must equal its column of the all-channel pass bit for bit at every
+    # causal_conv size: one block (L = 48, or L = 100 with n >= L), blocked band plus FFT (the rest)
+    layer = LayerConfig(features=3, state_size=4, mode=mode, max_order=3, window=8)
+    model = SequenceClassifier(ModelStack(layers=(layer, layer)), seq_length=length, seed=1)
+    u = np.random.default_rng(length + n).normal(0.0, 1.0, (n, length))
+    full = model.features(u)
+    for h in range(3):
+        assert np.array_equal(model.features(u, slice(h, h + 1)), full[:, h : h + 1])
+
+
 class TestTrainDemo:
     def test_probe_pass_counts(self, monkeypatch):
         # train-fd's model: 48 per-channel parameters, each probed both ways by a
