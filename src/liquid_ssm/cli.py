@@ -20,7 +20,7 @@ import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -134,7 +134,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             cfg = replace(cfg, **{name: value})
-    cfg.validate()
+    if "input" not in args:  # convolve validates once its input has given the length and feature count
+        cfg.validate()
     return cfg
 
 
@@ -345,7 +346,7 @@ FLAGS = {
     "out": {"help": "output path (stdout when omitted)"},
 }
 
-# (name, help, flags read); build_parser looks up the handler cmd_<name> on the module
+# (name, help, flags read); main looks up the handler cmd_<name> on the module at dispatch
 COMMANDS = (
     ("hippo", "emit the LegS matrix and its DPLR decomposition",
      ("config", "state", "out")),
@@ -362,6 +363,7 @@ COMMANDS = (
 )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liquid-ssm",
@@ -373,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         commands[name] = sub.add_parser(name, help=help_text)
         for flag in flags:
             commands[name].add_argument(f"--{flag}", **FLAGS[flag])
-        commands[name].set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     commands["kernel"].add_argument("--verify", action="store_true", help="cross-check against the naive path")
     commands["convolve"].add_argument("input", help="sequence file (.csv or binary)")
     commands["verify"].add_argument("--poison", action="store_true", help="inject a fault (self-test)")
@@ -381,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]  # looked up now, so a patched one runs
     try:
-        return args.func(load_config(args), args)
+        return handler(load_config(args), args)
     except errors.SequenceParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

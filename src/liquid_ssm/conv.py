@@ -3,9 +3,12 @@
 ``causal_conv`` sums the convolutions of several (taps, signal) orders in
 one loop that picks the algorithm per order: a Toeplitz band product for a
 small input or short taps (the liquid windows), and one summed spectrum with
-one inverse FFT for the long orders (the main kernel). The band, the FFT and
-the direct O(L^2) summation ``causal_conv_direct`` are deliberately
-independent implementations of one contract; tests hold them to 1e-10.
+one inverse FFT for long explicit taps. ``_chunked_scan`` convolves with a
+system's own impulse response, the main order of a layer, without forming
+it: a band product inside blocks of ``BAND_TAPS`` samples and a state
+passed from block to block. The band, the FFT, the scan and the direct
+O(L^2) summation ``causal_conv_direct`` are deliberately independent
+implementations of one contract; tests hold them to 1e-10.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from operator import iadd
 import numpy as np
 
 from .errors import DimensionError, DivergedStateError
+from .kernel import _krylov_block
 from .ssm import DiscreteSystem
 
 _DIVERGENCE_LIMIT = 1e100
-# longest taps that take the blocked band above the one-block size; longer taps are transformed
+# longest taps that take the blocked band above the one-block size (longer taps are
+# transformed), and the block of the chunked scan
 BAND_TAPS = 64
 
 
@@ -143,6 +148,40 @@ def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterabl
         part, spectrum = np.fft.irfft(spectrum, n=size)[..., :l], None
         y = part if y is None else iadd(y, part)
     return y
+
+
+def _chunked_scan(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:
+    """Re <c_bar, x_k> of x_k = a_bar x_{k-1} + b_bar u_k (x_{-1} = 0) along the last axis of u.
+
+    The causal convolution of u with the system's taps, in blocks of
+    T = min(BAND_TAPS, L) samples: inside a block one product with the
+    (T, T) band of the first T taps; across blocks the state at the end of
+    block j, S_j = a_bar^T S_{j-1} + X_j with X_j the block's own input
+    state, adds Re <(a_bar*)^(i+1) c_bar, S_j> to sample i of block j + 1.
+    No length-L kernel and no spectrum is formed, and the cost is
+    O(T + 4N) per sample. Complex products are real ones on [Re | Im] stacks.
+    """
+    l = u.shape[-1]
+    t = min(BAND_TAPS, l)
+    blocks = -(-l // t)
+    left = _krylov_block(d.a_bar.conj().T, d.c_bar, t + 1)  # row i: (a_bar*)^i c_bar
+    lag, valid = _band_index(t, t, t)
+    x = u.reshape(-1, l)
+    if blocks * t > l:
+        x = np.concatenate([x, np.zeros((len(x), blocks * t - l))], axis=-1)
+    rows = x.reshape(-1, t)  # every block of every sequence, one row each
+    y = rows @ np.where(valid, (left[:t].conj() @ d.b_bar).real[lag], 0.0)
+    if blocks > 1:
+        right = _krylov_block(d.a_bar, d.b_bar, t)[::-1]  # row i: a_bar^(T-1-i) b_bar
+        state = (rows @ np.hstack([right.real, right.imag])).reshape(len(x), blocks, 2 * d.n)
+        q = np.linalg.matrix_power(d.a_bar, t).T
+        step = np.block([[q.real, q.imag], [-q.imag, q.real]])  # [Re | Im] of S to that of a_bar^T S
+        for j in range(1, blocks - 1):
+            state[:, j] += state[:, j - 1] @ step
+        # one product for every block; the last block's carry has no block to go to
+        carry = state.reshape(len(rows), 2 * d.n) @ np.vstack([left[1:].real.T, left[1:].imag.T])
+        y.reshape(len(x), blocks, t)[:, 1:] += carry.reshape(len(x), blocks, t)[:, :-1]
+    return y.reshape(x.shape)[:, :l].reshape(u.shape)
 
 
 def causal_conv_direct(taps: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ the kernel carries a short window of taps. Two kernel modes exist:
 
 ``build_liquid_kernels`` (through its core ``_liquid_kernels``, which takes a
 discretized system) alone checks a mode, an order and a window. The kernels
-enter a layer's output as orders 2..P of the one sum that
-``pipeline.forward_liquid_s4`` computes with ``conv.causal_conv``.
+enter a layer's output as orders 2..P, which ``pipeline.forward_liquid_s4``
+sums in one ``conv.causal_conv`` call and adds to the scanned main order.
 
 Brute-force companions (`liquid_oracle`, its PB form
 `liquid_oracle_pb_reference`, `liquid_expansion_oracle`) pin the semantics at

@@ -1,5 +1,9 @@
-"""End-to-end forward path: one order-summed convolution, main kernel as order 1.
+"""End-to-end forward path: the main order scanned, the liquid orders in one convolution.
 
+Order 1 runs through ``conv._chunked_scan`` straight from the discretized
+system; orders 2..P go through one order-summed ``causal_conv`` call. A
+large state or a transformed liquid order puts the main kernel back into
+that call as order 1.
 ``MODES`` is the package's one list of liquid modes.
 """
 
@@ -7,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import causal_conv
+from .conv import BAND_TAPS, _chunked_scan, causal_conv
 from .errors import DimensionError
 from .kernel import _genfn_kernel
 from .liquid import _liquid_kernels, correlation_signals, default_window
@@ -27,23 +31,37 @@ def forward_liquid_s4(
     """Run single-feature sequences through the convolutional path.
 
     y = sum_p K_p * corr_p(u) along the last axis of one sequence (L,) or a
-    batch (..., L): the main kernel is order 1 (corr_1 = u), and the liquid
-    kernels of orders 2..max_order join it when ``mode`` is ``'kb'`` or
-    ``'pb'``. With ``mode='none'`` this must agree with the recurrent
-    reference to 1e-8. The system is discretized once, for both kernels.
+    batch (..., L). The main order (corr_1 = u) is the system's own response,
+    scanned block by block without a length-L kernel; the liquid kernels of
+    orders 2..max_order, when ``mode`` is ``'kb'`` or ``'pb'``, are summed by
+    one ``causal_conv`` call. A state of more than half the scan block, or a
+    liquid window of more than ``BAND_TAPS`` taps (a transformed order), sends
+    the main kernel into that call as order 1 instead. With ``mode='none'``
+    this must agree with the recurrent reference to 1e-8. The system is
+    discretized once, for both.
     """
     if mode not in MODES:
         raise DimensionError(f"unknown mode {mode!r}")
     u = np.asarray(u, dtype=float)
+    if u.ndim == 0 or u.shape[-1] == 0:
+        raise DimensionError(f"need sequences with a nonempty time axis, got shape {u.shape}")
     l = u.shape[-1]
     d = discretize_bilinear(sys, dt)
-    taps = [_genfn_kernel(d, l).taps]
+    taps = ()
     if mode != "none":
         window = default_window(l) if window is None else window
         if window > l:  # causal_conv would accept the longer taps
             raise DimensionError(f"window {window} exceeds sequence length {l}")
-        taps += _liquid_kernels(d, mode, max_order, window).taps
-    return causal_conv(taps, correlation_signals(u, len(taps)))
+        taps = _liquid_kernels(d, mode, max_order, window).taps
+    signals = correlation_signals(u, len(taps) + 1)
+    # the scan costs T + 4N per sample (T = min(BAND_TAPS, L)); above N = T/2 a transform is
+    # cheaper, and cheaper still when transformed liquid orders have formed a spectrum already
+    if 2 * d.n > min(BAND_TAPS, l) or any(len(t) > BAND_TAPS for t in taps):
+        return causal_conv([_genfn_kernel(d, l).taps, *taps], signals)
+    y = _chunked_scan(d, next(signals))
+    if taps:
+        y += causal_conv(taps, signals)
+    return y
 
 
 def feature_systems(

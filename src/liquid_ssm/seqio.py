@@ -32,7 +32,7 @@ def write_sequences_binary(path: str, values: np.ndarray) -> None:
     b, l, h = values.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, b, l, h, 0))
-        fh.write(values.tobytes())
+        fh.write(values)  # the contiguous array's own buffer, not a tobytes() copy
 
 
 def read_sequences_binary(path: str) -> np.ndarray:

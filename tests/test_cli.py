@@ -200,6 +200,14 @@ class TestConvolveCommand:
         assert run(["convolve", str(src), "--out", str(tmp_path / "y.csv")]) == 3
         assert "byte offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--order=1", "--state=0", "--window=0"])
+    def test_unreadable_input_outranks_a_bad_flag(self, tmp_path, capsys, flag):
+        # the input is read before the config that takes its length from it is checked
+        src = tmp_path / "empty.csv"
+        src.write_text("")
+        assert run(["convolve", str(src), flag, "--out", str(tmp_path / "y.csv")]) == 3
+        assert "byte offset" in capsys.readouterr().err
+
     def test_malformed_binary_names_offset(self, tmp_path, capsys):
         src = tmp_path / "bad.lsq4"
         src.write_bytes(b"LSQ4" + b"\x00" * 10)
@@ -433,6 +441,10 @@ def test_every_error_class_has_its_exit_code(cls, monkeypatch, capsys):
     # exactly one line on stderr, so no traceback
     prefix = "I/O error: " if cls is OSError else "error: "
     assert captured.err == prefix + "injected fault\n"
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_handler_looked_up_on_the_module(monkeypatch):

@@ -2,7 +2,8 @@
 
 Each batched primitive is held to its row-by-row form: ``causal_conv`` to
 the direct summation (its order-summed form to a sum of direct summations),
-``correlation_signals`` and ``forward_liquid_s4`` to stacks of 1-D calls.
+``correlation_signals`` and ``forward_liquid_s4`` to stacks of 1-D calls,
+and the chunked scan of the main order to the direct sum of the oracle taps.
 Sequence lengths straddle the L = 64 switch between one (L, L) band and the
 per-order rule, and tap lengths the BAND_TAPS cut between the blocked band
 and the FFT, so every branch is drawn for shared and per-feature taps; a
@@ -14,12 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liquid_ssm.conv import BAND_TAPS, causal_conv, causal_conv_direct
+from liquid_ssm.conv import BAND_TAPS, _chunked_scan, causal_conv, causal_conv_direct
 from liquid_ssm.errors import DimensionError
 from liquid_ssm.liquid import correlation_signals
 from liquid_ssm.pipeline import feature_systems, forward_liquid_s4
-from liquid_ssm.ssm import nplr_decompose
-from liquid_ssm.kernel import _rel_linf
+from liquid_ssm.ssm import discretize_bilinear, nplr_decompose
+from liquid_ssm.kernel import _rel_linf, kernel_naive
 
 from helpers import count_fft
 
@@ -208,13 +209,42 @@ def test_order_sum_matches_direct(l, orders, per_feature, h, batch, seed):
             assert np.max(np.abs(got[b, i] - want)) < 1e-10
 
 
-def test_kb_forward_takes_one_inverse_fft(monkeypatch):
-    # only the main kernel is transformed (its taps and its signal); the 32-tap orders 2..3 are banded
-    sys_ = nplr_decompose(8, seed=1)
+@pytest.mark.parametrize(
+    "n, window, ffts",
+    [
+        (BAND_TAPS // 2, None, (0, 0)),  # scanned main order, banded 32-tap orders 2..3: nothing transformed
+        (BAND_TAPS // 2 + 1, None, (2, 1)),  # a state above half the block: the main kernel and its signal
+        (8, BAND_TAPS + 1, (6, 1)),  # transformed liquid orders: the main kernel joins their spectrum
+    ],
+)
+def test_kb_forward_transforms_only_above_the_scan_rule(monkeypatch, n, window, ffts):
+    sys_ = nplr_decompose(n, seed=1)
     u = np.random.default_rng(0).normal(0.0, 1.0, (2, 2048))
     forward, inverse = count_fft(monkeypatch, "rfft"), count_fft(monkeypatch, "irfft")
-    forward_liquid_s4(sys_, 0.01, u, "kb", 3)
-    assert (len(forward), len(inverse)) == (2, 1)
+    forward_liquid_s4(sys_, 0.01, u, "kb", 3, window)
+    assert (len(forward), len(inverse)) == ffts
+
+
+@PROPERTY
+@given(
+    l=st.one_of(st.integers(1, 64), st.integers(65, 700), st.sampled_from([63, 64, 65, 127, 128, 129, 640])),
+    batch=st.sampled_from([None, 1, 3]),
+    n=st.one_of(st.integers(1, 8), st.just(BAND_TAPS + 8)),
+    dt=st.floats(1e-3, 0.2),
+    seed=st.integers(0, 2**16),
+)
+def test_chunked_scan_matches_direct_sum(l, batch, n, dt, seed):
+    # the scan and the main order of the forward against the direct sum of the oracle's taps, across
+    # block edges; N = 72 is above the forward's scan rule at every L, so there the scan is held to
+    # the oracle alone and the forward takes the transformed kernel
+    sys_ = nplr_decompose(n, seed=seed)
+    d = discretize_bilinear(sys_, dt)
+    u = np.random.default_rng(seed).normal(0.0, 1.0, (l,) if batch is None else (batch, l))
+    taps = kernel_naive(d, l).taps
+    want = np.reshape([causal_conv_direct(taps, row) for row in u.reshape(-1, l)], u.shape)
+    for got in (_chunked_scan(d, u), forward_liquid_s4(sys_, dt, u, "none")):
+        assert got.shape == u.shape
+        assert _rel_linf(got, want) < 1e-10
 
 
 @PROPERTY
