@@ -4,6 +4,7 @@ Order 1 runs through ``conv._chunked_scan`` straight from the discretized
 system; orders 2..P go through one order-summed ``causal_conv`` call. A
 large state or a transformed liquid order puts the main kernel back into
 that call as order 1.
+
 ``MODES`` is the package's one list of liquid modes.
 """
 
@@ -58,7 +59,7 @@ def forward_liquid_s4(
     # cheaper, and cheaper still when transformed liquid orders have formed a spectrum already
     if 2 * d.n > min(BAND_TAPS, l) or any(len(t) > BAND_TAPS for t in taps):
         return causal_conv([_genfn_kernel(d, l).taps, *taps], signals)
-    y = _chunked_scan(d, next(signals))
+    y = _chunked_scan(d, next(signals))  # order 1 is u itself
     if taps:
         y += causal_conv(taps, signals)
     return y
