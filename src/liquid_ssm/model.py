@@ -15,8 +15,10 @@ of all channels come from one pass per epoch, which also gives the epoch's
 loss. A probe of a per-channel parameter (``lift_w[h]``, ``lift_b[h]``, or
 row h of ``c_re_<li>``, ``c_im_<li>`` or ``gain_<li>``) recomputes feature h
 alone through every layer; a probe of ``readout_w`` or ``readout_b`` only
-reads the cached features out again. ``finite_difference_gradient`` is the
-black-box oracle it is tested against.
+reads the cached features out again. Every probe's logits go into one
+stack, and one ``_cross_entropy`` call scores them all, so an epoch makes
+two loss calls (its own loss and the stack), whatever the parameter count.
+``finite_difference_gradient`` is the black-box oracle it is tested against.
 
 Trainable parameters: the 1 -> H input lift, the per-layer per-feature
 complex output maps, per-order gains, and the readout. The
@@ -275,41 +277,52 @@ class SequenceClassifier:
 
         Probes run in the parameter-vector order, with the step and the central
         difference of ``finite_difference_gradient``. Each moves its entry in
-        place by h = ``FD_STEP`` * max(1, |theta_i|) either way, then restores
-        it. Only the probed channel's column of the pooled features is
-        recomputed (row h of a per-channel parameter is channel h); a readout
-        probe reuses them as they are.
+        place by h = ``FD_STEP`` * max(1, |theta_i|) either way and restores it,
+        also when the probe raises. Only the probed channel's column of the
+        pooled features is recomputed (row h of a per-channel parameter is
+        channel h); a readout probe reuses them as they are. Every probe's
+        logits are stacked as (2 * ``param_count``, n, C) and scored by one
+        ``_cross_entropy`` call.
         """
         pooled = self.features(u)
         loss, acc = _cross_entropy(self.readout(pooled), labels)
-        grad = []
+        logits, steps = [], []
         for name in self._order:
             values = self.params[name]
             for idx in np.ndindex(values.shape):
                 old = values[idx]
                 h = FD_STEP * max(1.0, abs(old))
-                probed = []
-                for value in (old + h, old - h):
-                    values[idx] = value
-                    if name in self._readout_names:
+                try:
+                    for value in (old + h, old - h):
+                        values[idx] = value
                         probe = pooled
-                    else:
-                        channel = slice(idx[0], idx[0] + 1)
-                        probe = pooled.copy()
-                        probe[:, channel] = self.features(u, channel)
-                    probed.append(_cross_entropy(self.readout(probe), labels)[0])
-                values[idx] = old
-                grad.append((probed[0] - probed[1]) / (2.0 * h))
-        return loss, acc, np.array(grad)
+                        if name not in self._readout_names:
+                            channel = slice(idx[0], idx[0] + 1)
+                            probe = pooled.copy()
+                            probe[:, channel] = self.features(u, channel)
+                        logits.append(self.readout(probe))
+                finally:
+                    values[idx] = old
+                steps.append(h)
+        probed = _cross_entropy(np.stack(logits), labels)[0].reshape(-1, 2)
+        return loss, acc, (probed[:, 0] - probed[:, 1]) / (2.0 * np.array(steps))
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Mean softmax cross-entropy and top-1 accuracy of logits (n, classes)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.sum(np.exp(shifted), axis=1))
-    nll = logz - shifted[np.arange(len(labels)), labels]
-    acc = float(np.mean(np.argmax(logits, axis=1) == labels))
-    return float(np.mean(nll)), acc
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean softmax cross-entropy and top-1 accuracy of logits (..., n, classes).
+
+    Reduces over the last two axes: logits (n, classes) give two floats, a
+    stack (R, n, classes) gives two (R,) arrays, each entry equal to the call
+    on its slice.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.sum(np.exp(shifted), axis=-1))
+    nll = logz - shifted[..., np.arange(len(labels)), labels]
+    loss = np.mean(nll, axis=-1)
+    acc = np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
+    if logits.ndim == 2:
+        return float(loss), float(acc)
+    return loss, acc
 
 
 def finite_difference_gradient(f, theta: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:

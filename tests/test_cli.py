@@ -293,6 +293,20 @@ class TestTrainDemoCommand:
         assert len(doc["loss"]) == 2
         assert doc["config"]["classes"] == 2
 
+    def test_time_per_epoch(self, tmp_path):
+        # per_epoch lives under timing_ms, so two runs still agree on everything else
+        argv = ["train-demo", "--length", "8", "--features", "2", "--epochs", "3", "--n-train", "20"]
+        docs = []
+        for i in range(2):
+            out = tmp_path / f"t{i}.json"
+            assert run(argv + ["--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        for doc in docs:
+            per_epoch = doc["timing_ms"]["per_epoch"]
+            assert math.isfinite(per_epoch) and per_epoch > 0
+            assert per_epoch == pytest.approx(doc["timing_ms"]["total"] / 3)
+        assert json.dumps(scrub_timing(docs[0]), sort_keys=True) == json.dumps(scrub_timing(docs[1]), sort_keys=True)
+
     def test_adjacent_product_sign_extra_class_exit_2(self, tmp_path, capsys):
         # its labels are only ever 0 or 1, so a third readout class is refused, not wasted
         argv = ["train-demo", "--task", "adjacent-product-sign", "--classes", "3", "--epochs", "1"]

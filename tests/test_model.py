@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liquid_ssm import model as model_module
 from liquid_ssm.conv import causal_conv, causal_conv_direct, recurrent_s4
 from liquid_ssm.errors import DimensionError, ParameterBudgetError
 from liquid_ssm.kernel import _rel_linf, kernel_naive
@@ -15,6 +16,7 @@ from liquid_ssm.model import (
     finite_difference_gradient,
     gelu,
     generate_task,
+    _cross_entropy,
     train_demo,
 )
 from liquid_ssm.pipeline import MODES, feature_systems
@@ -250,6 +252,24 @@ class TestFiniteDifferences:
             assert abs(g1[i] - g2[i]) / scale < 1e-3
 
 
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), r=st.integers(1, 8), n=st.integers(1, 50), classes=st.integers(2, 4))
+def test_stacked_cross_entropy_is_each_slice(data, r, n, classes):
+    # one call on (R, n, C) logits scores every slice exactly as a separate (n, C) call;
+    # logits up to 700 in size overflow exp unless the max is shifted out first
+    values = st.floats(-700.0, 700.0, allow_nan=False)
+    logits = np.array(data.draw(st.lists(values, min_size=r * n * classes, max_size=r * n * classes)))
+    logits = logits.reshape(r, n, classes)
+    labels = np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n)))
+    losses, accs = _cross_entropy(logits, labels)
+    assert losses.shape == accs.shape == (r,)
+    for i in range(r):
+        loss, acc = _cross_entropy(logits[i], labels)
+        assert type(loss) is float and type(acc) is float
+        assert np.array_equal(losses[i], loss)
+        assert accs[i] == acc
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     depth=st.integers(1, 3),
@@ -314,8 +334,14 @@ class TestTrainDemo:
 
             return wrapped
 
+        def spy_loss(logits, labels):
+            scored.append(logits.shape)
+            return _cross_entropy(logits, labels)
+
+        scored = []
         monkeypatch.setattr(model, "features", spy(model.features, widths))
         monkeypatch.setattr(model, "forward", spy(model.forward, forwards))
+        monkeypatch.setattr(model_module, "_cross_entropy", spy_loss)
         epochs = 2
         train_demo(model, SyntheticTask(length=32), epochs=epochs, lr=0.1, seed=0, n_train=20)
         assert widths.count(1) == 96 * epochs
@@ -323,6 +349,29 @@ class TestTrainDemo:
         assert widths.count(4) == epochs + 1
         assert len(widths) == 96 * epochs + epochs + 1
         assert len(forwards) == 1  # the final loss; an epoch reads out its features directly
+        # per epoch: the base loss and one stacked call over all 116 probes; then the final loss
+        assert scored == [(20, 2), (2 * model.param_count, 20, 2)] * epochs + [(20, 2)]
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 96])
+    def test_failed_probe_restores_its_entry(self, monkeypatch, k):
+        # a probe that raises must not leave its entry moved by h in the model
+        model = SequenceClassifier(small_stack("kb"), seq_length=16, seed=0)
+        batch, labels = generate_task(SyntheticTask(length=16), 20, 0)
+        before = model.get_param_vector()
+        features, calls = model.features, []
+
+        def failing(u, channels=slice(None)):
+            if channels != slice(None):
+                calls.append(channels)
+                if len(calls) == k:
+                    raise RuntimeError("probe failed")
+            return features(u, channels)
+
+        monkeypatch.setattr(model, "features", failing)
+        with pytest.raises(RuntimeError, match="probe failed"):
+            model.loss_and_gradient(batch.values[:, :, 0], labels)
+        assert len(calls) == k
+        assert np.array_equal(model.get_param_vector(), before)
 
     def test_budget_guard(self):
         layer = LayerConfig(features=24, state_size=12, mode="pb", max_order=4, window=8)
