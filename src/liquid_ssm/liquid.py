@@ -72,7 +72,8 @@ def correlation_signals(u: np.ndarray, max_order: int) -> Iterator[np.ndarray]:
         raise DimensionError(f"order p={max_order} exceeds sequence length {l}")
 
     def times_delayed(signal: np.ndarray, p: int) -> np.ndarray:
-        out = np.zeros_like(u)
+        out = np.empty_like(u)
+        out[..., : p - 1] = 0.0
         np.multiply(signal[..., p - 1 :], u[..., : l - p + 1], out=out[..., p - 1 :])
         return out
 

@@ -12,9 +12,16 @@ vector; no autodiff.
 Because channels stay separate, ``SequenceClassifier.loss_and_gradient``
 computes what each probe can change and nothing more. The pooled features
 of all channels come from one pass per epoch, which also gives the epoch's
-loss. A probe of a per-channel parameter (``lift_w[h]``, ``lift_b[h]``, or
-row h of ``c_re_<li>``, ``c_im_<li>`` or ``gain_<li>``) recomputes feature h
-alone through every layer; a probe of ``readout_w`` or ``readout_b`` only
+loss and keeps every layer's input, correlation signals and unit-energy
+taps (the taps before the gain). A probe of a per-channel parameter
+recomputes feature h alone, from the first layer the parameter enters:
+``lift_w[h]`` or ``lift_b[h]`` lifts channel h again and runs it through
+every layer; row h of ``c_re_<li>`` or ``c_im_<li>`` rebuilds channel h's
+layer-li taps and convolves the cached signals; row h of ``gain_<li>``
+applies the probed gain to the cached unit taps and signals. Every later
+layer builds new signals of its new input and reuses its cached taps. All
+of them run the one layer step x + gelu(causal_conv(taps, signals)) that
+the all-channel pass runs. A probe of ``readout_w`` or ``readout_b`` only
 reads the cached features out again. Every probe's logits go into one
 stack, and one ``_cross_entropy`` call scores them all, so an epoch makes
 two loss calls (its own loss and the stack), whatever the parameter count.
@@ -130,7 +137,14 @@ def gelu(x: np.ndarray) -> np.ndarray:
     which matters because finite-difference training re-runs it thousands of
     times; values track the usual tanh formulation to a few percent.
     """
-    return 0.5 * x * (1.0 + x / np.sqrt(1.0 + x * x))
+    t = x * x  # the one temporary: every step below is the formula's own operation, in place
+    t += 1.0
+    np.sqrt(t, out=t)
+    np.divide(x, t, out=t)
+    t += 1.0
+    out = 0.5 * x
+    out *= t
+    return out
 
 
 def generate_task(task: SyntheticTask, n: int, seed: int) -> tuple[SequenceBatch, np.ndarray]:
@@ -230,34 +244,34 @@ class SequenceClassifier:
 
     # -- forward -------------------------------------------------------------
 
-    def layer_taps(self, li: int, channels: slice = slice(None)) -> list[np.ndarray]:
-        """Per-order taps of layer li, orders 1..P, each (H, L_k): unit energy times the order's gain.
+    def _unit_taps(self, li: int, channels: slice = slice(None)) -> list[np.ndarray]:
+        """Per-order taps of layer li, orders 1..P, each (H, L_k), at unit energy: the taps before the gain.
 
         ``channels`` selects the rows (features) to build; the other rows are not computed.
         """
         c = self.params[f"c_re_{li}"][channels] + 1j * self.params[f"c_im_{li}"][channels]
         taps = [np.einsum("hn,hnt->ht", c.conj(), kry[channels]).real for kry in self._bases[li]]
-        return [
-            t / np.maximum(np.linalg.norm(t, axis=-1, keepdims=True), 1e-12) * g[:, None]
-            for t, g in zip(taps, self.params[f"gain_{li}"][channels].T, strict=True)
-        ]
+        return [t / np.maximum(np.linalg.norm(t, axis=-1, keepdims=True), 1e-12) for t in taps]
 
-    def features(self, u: np.ndarray, channels: slice = slice(None)) -> np.ndarray:
-        """Pooled features (n, h) of raw sequences u (n, L): lift, every layer, mean over time.
+    def layer_taps(self, li: int) -> list[np.ndarray]:
+        """Per-order taps of layer li, orders 1..P, each (H, L_k): unit energy times the order's gain."""
+        return _gained(self._unit_taps(li), self.params[f"gain_{li}"])
 
-        Features never mix before the readout, so a pass over ``channels``
-        alone gives those columns of the all-channel pass, bit-identical:
-        ``causal_conv`` picks its branch per band, so both widths pick alike.
-        """
+    def _lift(self, u: np.ndarray, channels: slice = slice(None)) -> np.ndarray:
+        """The 1 -> H input lift of raw sequences u (n, L), as (n, h, L) for the selected channels."""
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != self.seq_length:
             raise DimensionError(
                 f"expected (n, {self.seq_length}) inputs, got {u.shape}"
             )
-        x = u[:, None, :] * self.params["lift_w"][channels, None] + self.params["lift_b"][channels, None]
+        return u[:, None, :] * self.params["lift_w"][channels, None] + self.params["lift_b"][channels, None]
+
+    def features(self, u: np.ndarray) -> np.ndarray:
+        """Pooled features (n, H) of raw sequences u (n, L): lift, every layer, mean over time."""
+        x = self._lift(u)
         for li in range(self.stack.depth):
-            taps = self.layer_taps(li, channels)
-            x = x + gelu(causal_conv(taps, correlation_signals(x, len(taps))))
+            taps = self.layer_taps(li)
+            x = _layer_step(x, taps, correlation_signals(x, len(taps)))
         return x.mean(axis=2)
 
     def readout(self, pooled: np.ndarray) -> np.ndarray:
@@ -278,13 +292,27 @@ class SequenceClassifier:
         Probes run in the parameter-vector order, with the step and the central
         difference of ``finite_difference_gradient``. Each moves its entry in
         place by h = ``FD_STEP`` * max(1, |theta_i|) either way and restores it,
-        also when the probe raises. Only the probed channel's column of the
-        pooled features is recomputed (row h of a per-channel parameter is
-        channel h); a readout probe reuses them as they are. Every probe's
-        logits are stacked as (2 * ``param_count``, n, C) and scored by one
-        ``_cross_entropy`` call.
+        also when the probe raises. The epoch's all-channel pass keeps, for
+        every layer, its correlation signals (order 1 is the layer's input)
+        and its unit-energy taps. A probe of row h of a per-channel parameter
+        recomputes channel h's column of the pooled features from the first
+        layer the parameter enters, and only what the probe changes there:
+        a ``lift_*`` probe lifts channel h again and runs it through every
+        layer; a ``c_re_<li>``/``c_im_<li>`` probe rebuilds channel h's
+        layer-li unit taps and reuses the layer's cached signals; a
+        ``gain_<li>`` probe reuses both and applies the probed gain. Later
+        layers reuse their cached unit taps, with new signals of the new
+        input. A readout probe reuses the pooled features as they are. Every
+        probe's logits are stacked as (2 * ``param_count``, n, C) and scored
+        by one ``_cross_entropy`` call.
         """
-        pooled = self.features(u)
+        x, cache = self._lift(u), []
+        for li in range(self.stack.depth):
+            unit = self._unit_taps(li)
+            signals = list(correlation_signals(x, len(unit)))
+            cache.append((signals, unit))
+            x = _layer_step(x, _gained(unit, self.params[f"gain_{li}"]), signals)
+        pooled = x.mean(axis=2)
         loss, acc = _cross_entropy(self.readout(pooled), labels)
         logits, steps = [], []
         for name in self._order:
@@ -297,15 +325,48 @@ class SequenceClassifier:
                         values[idx] = value
                         probe = pooled
                         if name not in self._readout_names:
-                            channel = slice(idx[0], idx[0] + 1)
                             probe = pooled.copy()
-                            probe[:, channel] = self.features(u, channel)
+                            probe[:, idx[0] : idx[0] + 1] = self._probe_column(name, idx[0], u, cache)
                         logits.append(self.readout(probe))
                 finally:
                     values[idx] = old
                 steps.append(h)
         probed = _cross_entropy(np.stack(logits), labels)[0].reshape(-1, 2)
         return loss, acc, (probed[:, 0] - probed[:, 1]) / (2.0 * np.array(steps))
+
+    def _probe_column(self, name: str, h: int, u: np.ndarray, cache: list) -> np.ndarray:
+        """Pooled column (n, 1) of channel h after a probe of ``name``, recomputing only what it changes.
+
+        ``cache`` holds each layer's (signals, unit taps) from the all-channel pass.
+        """
+        channel = slice(h, h + 1)
+        lifted = name.startswith("lift")
+        first = 0 if lifted else int(name.rsplit("_", 1)[1])
+        x = self._lift(u, channel) if lifted else cache[first][0][0][:, channel]
+        for li in range(first, self.stack.depth):
+            signals, unit = cache[li]
+            cached_input = li == first and not lifted
+            if cached_input and name.startswith("c_"):
+                unit = self._unit_taps(li, channel)
+            else:
+                unit = [t[channel] for t in unit]
+            signals = [s[:, channel] for s in signals] if cached_input else correlation_signals(x, len(unit))
+            x = _layer_step(x, _gained(unit, self.params[f"gain_{li}"][channel]), signals)
+        return x.mean(axis=2)
+
+
+def _gained(unit: list[np.ndarray], gains: np.ndarray) -> list[np.ndarray]:
+    """Unit-energy taps (H, L_k) per order scaled by the gains (H, P), column p - 1 for order p."""
+    return [t * g[:, None] for t, g in zip(unit, gains.T, strict=True)]
+
+
+def _layer_step(x: np.ndarray, taps: list[np.ndarray], signals) -> np.ndarray:
+    """One layer on its input x (n, h, L): x + gelu(sum_p taps_p * signals_p), signals of orders 1..P.
+
+    The same arithmetic for every width, so channel h alone gives column h of
+    the all-channel step bit for bit: ``causal_conv`` picks its branch per band.
+    """
+    return x + gelu(causal_conv(taps, signals))
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from liquid_ssm import cli, errors, seqio
 from liquid_ssm.cli import main
@@ -516,12 +516,16 @@ def _reject_constant(name):
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    command=st.sampled_from(["hippo", "kernel", "kernel --verify", "convolve .lsq4", "convolve .csv", "train-demo"]),
+    command=st.sampled_from(
+        ["hippo", "kernel", "kernel --verify", "convolve .lsq4", "convolve .csv", "train-demo", "verify"]
+    ),
     flags=st.fixed_dictionaries({}, optional=TINY_FLAGS),
     shape=st.tuples(st.integers(0, 3), st.integers(0, 80), st.integers(0, 2)),
     epochs=st.integers(0, 2),
     n_train=st.integers(0, 24),
 )
+@example(command="verify", flags={}, shape=(0, 0, 0), epochs=0, n_train=0)
+@example(command="verify", flags={"seed": 3}, shape=(0, 0, 0), epochs=0, n_train=0)
 def test_tiny_run_reports_or_exits_with_one_error_line(tmp_path, command, flags, shape, epochs, n_train):
     # every tiny run either succeeds with a finite strict-JSON report (or sequence file)
     # or exits with exactly one error line: no traceback, no NaN
@@ -538,6 +542,8 @@ def test_tiny_run_reports_or_exits_with_one_error_line(tmp_path, command, flags,
         argv.append(extra)
     if name == "train-demo":
         argv += ["--epochs", str(epochs), "--n-train", str(n_train)]
+    if name == "verify":  # its report goes to a file, and stdout lists the checks
+        argv += ["--out", str(tmp_path / "verify.json")]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = run(argv)
@@ -551,6 +557,10 @@ def test_tiny_run_reports_or_exits_with_one_error_line(tmp_path, command, flags,
     if values is not None:
         got = seqio.read_sequences(str(out))
         assert got.shape == values.shape and np.all(np.isfinite(got))
+    elif name == "verify":
+        doc = json.loads((tmp_path / "verify.json").read_text(), parse_constant=_reject_constant)
+        assert doc["passed"] and all(line.startswith("PASS ") for line in stdout.getvalue().splitlines())
+        assert all(math.isfinite(x) for x in _numbers(doc))
     else:
         doc = json.loads(stdout.getvalue(), parse_constant=_reject_constant)
         assert all(math.isfinite(x) for x in _numbers(doc))

@@ -53,6 +53,17 @@ class TestCorrelationSignal:
         sig = correlation_signal(np.array([2.0, 0.0, 5.0, 3.0]), 3)
         assert sig == pytest.approx([0.0, 0.0, 0.0, 0.0])
 
+    def test_every_order_is_the_running_product_bit_for_bit(self):
+        # order p is order p - 1 times u delayed by p - 1 samples, its first p - 1 samples exactly 0;
+        # a batch of sequences, so the head of every row is zeroed, not only of the first
+        u = np.random.default_rng(3).normal(0.0, 2.0, (3, 2, 9))
+        want = u
+        for p, sig in enumerate(correlation_signals(u, 5), start=1):
+            if p > 1:
+                want = want * np.concatenate([np.zeros((3, 2, p - 1)), u[..., : 9 - p + 1]], axis=-1)
+            assert np.array_equal(sig, want)
+            assert not np.any(sig[..., : p - 1])
+
     def test_invalid_order(self):
         # order 1 is the input itself; below it and above L there is no signal
         u = np.array([2.0, -1.0, 3.0, 0.5])

@@ -22,6 +22,8 @@ from liquid_ssm.model import (
 from liquid_ssm.pipeline import MODES, feature_systems
 from liquid_ssm.ssm import _legs_core, discretize_bilinear, init_dt_schedule, nplr_decompose
 
+from helpers import probe_gradient_reference
+
 
 def window_products(u, p):
     """u[k] u[k-1] ... u[k-p+1], zero for k < p-1."""
@@ -189,6 +191,11 @@ class TestForward:
         with pytest.raises(DimensionError):
             model.forward(np.zeros((2, 8)))
 
+    def test_gelu_is_its_formula_bit_for_bit(self):
+        x = np.concatenate([np.random.default_rng(0).normal(0.0, 3.0, 200), [0.0, -0.0, 1e-160, 5e-324, 1e200, -1e200]])
+        with np.errstate(over="ignore"):  # x * x overflows at 1e200, in both
+            assert np.array_equal(gelu(x), 0.5 * x * (1.0 + x / np.sqrt(1.0 + x * x)))
+
     def test_gelu_shape(self):
         x = np.linspace(-4, 4, 101)
         y = gelu(x)
@@ -308,49 +315,111 @@ def test_channel_gradient_matches_oracle(depth, features, state, mode, order, cl
 @pytest.mark.parametrize("mode", ["kb", "pb"])
 @pytest.mark.parametrize("length, n", [(48, 12), (48, 120), (100, 12), (100, 120), (300, 12), (300, 320)])
 def test_one_channel_pass_is_the_all_channel_column(length, n, mode):
-    # an FD probe's one-channel pass must equal its column of the all-channel pass bit for bit at every
-    # causal_conv size: one block (L = 48, or L = 100 with n >= L), blocked band plus FFT (the rest)
+    # an FD probe's one-channel layer step must equal its column of the all-channel step bit for bit at
+    # every causal_conv size: one block (L = 48, or L = 100 with n >= L), blocked band plus FFT (the rest),
+    # on channel h's own signals (a lift probe) or on its slice of the all-channel ones (a layer probe)
     layer = LayerConfig(features=3, state_size=4, mode=mode, max_order=3, window=8)
     model = SequenceClassifier(ModelStack(layers=(layer, layer)), seq_length=length, seed=1)
     u = np.random.default_rng(length + n).normal(0.0, 1.0, (n, length))
-    full = model.features(u)
-    for h in range(3):
-        assert np.array_equal(model.features(u, slice(h, h + 1)), full[:, h : h + 1])
+    x = model._lift(u)
+    for li in range(2):
+        unit, taps = model._unit_taps(li), model.layer_taps(li)
+        signals = list(correlation_signals(x, len(taps)))
+        full = model_module._layer_step(x, taps, signals)
+        for h in range(3):
+            channel = slice(h, h + 1)
+            assert all(map(np.array_equal, model._unit_taps(li, channel), [t[channel] for t in unit]))
+            column_taps = [t[channel] for t in taps]
+            own = x[:, channel].copy()
+            own_step = model_module._layer_step(own, column_taps, correlation_signals(own, len(taps)))
+            cached_step = model_module._layer_step(x[:, channel], column_taps, [s[:, channel] for s in signals])
+            assert np.array_equal(own_step, full[:, channel])
+            assert np.array_equal(cached_step, full[:, channel])
+        x = full
+    assert np.array_equal(x.mean(axis=2), model.features(u))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    depth=st.integers(1, 3),
+    features=st.integers(1, 3),
+    state=st.integers(1, 3),
+    mode=st.sampled_from(MODES),
+    order=st.integers(2, 3),
+    length=st.one_of(st.sampled_from([16, 64, 65, 256, 257, 300]), st.integers(16, 300)),
+    n=st.integers(2, 130),
+    seed=st.integers(0, 2**16),
+)
+def test_gradient_is_the_full_pass_per_probe(depth, features, state, mode, order, length, n, seed):
+    # reusing each layer's signals and unit taps changes no bit of the loss, accuracy or gradient
+    # against one full one-channel pass per probe, at every causal_conv size: one block (L <= 64, or
+    # L <= 256 with n >= L), and above it banded 8-tap liquid orders and a transformed main order
+    layer = LayerConfig(features=features, state_size=state, mode=mode, max_order=order, window=8)
+    model = SequenceClassifier(ModelStack(layers=(layer,) * depth), seq_length=length, seed=seed)
+    rng = np.random.default_rng(seed)
+    model.set_param_vector(model.get_param_vector() + 0.3 * rng.standard_normal(model.param_count))
+    u = rng.normal(0.0, 1.0, (n, length))
+    labels = rng.integers(0, 2, n)
+    loss, acc, grad = model.loss_and_gradient(u, labels)
+    want_loss, want_acc, want_grad = probe_gradient_reference(model, u, labels)
+    assert (loss, acc) == (want_loss, want_acc)
+    assert np.array_equal(grad, want_grad)
+
+
+def spy(log, key, function):
+    """``function``, logging ``key`` of its arguments and result on every call."""
+
+    def wrapped(*args):
+        out = function(*args)
+        log.append(key(args, out))
+        return out
+
+    return wrapped
+
+
+def assert_probe_counts(monkeypatch, depth, steps, signals, units):
+    """Train two epochs of a depth-``depth`` pb model (H = N = 4, P = 2) and count its work by width.
+
+    ``steps``, ``signals`` and ``units`` are the one-channel layer steps, signal
+    builds and unit-tap builds of one epoch; the all-channel pass runs every
+    layer once per epoch and once for the final loss.
+    """
+    layer = LayerConfig(features=4, state_size=4, mode="pb", max_order=2, window=8)
+    model = SequenceClassifier(ModelStack(layers=(layer,) * depth), seq_length=32, seed=0)
+    assert model.param_count == 8 + 40 * depth + 10
+    widths = {"step": [], "signals": [], "units": []}
+    forwards, scored = [], []
+    step = spy(widths["step"], lambda a, o: o.shape[1], model_module._layer_step)
+    monkeypatch.setattr(model_module, "_layer_step", step)
+    monkeypatch.setattr(
+        model_module, "correlation_signals", spy(widths["signals"], lambda a, o: a[0].shape[1], correlation_signals)
+    )
+    monkeypatch.setattr(model, "_unit_taps", spy(widths["units"], lambda a, o: o[0].shape[0], model._unit_taps))
+    monkeypatch.setattr(model, "forward", spy(forwards, lambda a, o: o.shape, model.forward))
+    monkeypatch.setattr(model_module, "_cross_entropy", spy(scored, lambda a, o: a[0].shape, _cross_entropy))
+    epochs = 2
+    train_demo(model, SyntheticTask(length=32), epochs=epochs, lr=0.1, seed=0, n_train=20)
+    assert widths["step"] == ([4] * depth + [1] * steps) * epochs + [4] * depth
+    assert widths["signals"] == ([4] * depth + [1] * signals) * epochs + [4] * depth
+    assert widths["units"] == ([4] * depth + [1] * units) * epochs + [4] * depth
+    assert len(forwards) == 1  # the final loss; an epoch reads out its features directly
+    # per epoch: the base loss and one stacked call over all probes; then the final loss
+    assert scored == [(20, 2), (2 * model.param_count, 20, 2)] * epochs + [(20, 2)]
 
 
 class TestTrainDemo:
     def test_probe_pass_counts(self, monkeypatch):
-        # train-fd's model: 48 per-channel parameters, each probed both ways by a
-        # one-channel pass, and 10 readout parameters probed on the cached features
-        model = SequenceClassifier(small_stack("pb"), seq_length=32, seed=0)
-        assert model.param_count == 58
-        widths, forwards = [], []
+        # train-fd's model: 16 lift, 64 c and 16 gain probe passes of one layer step each, and
+        # 10 readout parameters probed on the cached features; only a lift probe builds signals
+        # and only a c probe builds unit taps
+        assert_probe_counts(monkeypatch, depth=1, steps=96, signals=16, units=64)
 
-        def spy(method, log):
-            def wrapped(*args):
-                out = method(*args)
-                log.append(out.shape[1])
-                return out
-
-            return wrapped
-
-        def spy_loss(logits, labels):
-            scored.append(logits.shape)
-            return _cross_entropy(logits, labels)
-
-        scored = []
-        monkeypatch.setattr(model, "features", spy(model.features, widths))
-        monkeypatch.setattr(model, "forward", spy(model.forward, forwards))
-        monkeypatch.setattr(model_module, "_cross_entropy", spy_loss)
-        epochs = 2
-        train_demo(model, SyntheticTask(length=32), epochs=epochs, lr=0.1, seed=0, n_train=20)
-        assert widths.count(1) == 96 * epochs
-        # all four channels once per epoch (its loss and the unperturbed features), once for the final loss
-        assert widths.count(4) == epochs + 1
-        assert len(widths) == 96 * epochs + epochs + 1
-        assert len(forwards) == 1  # the final loss; an epoch reads out its features directly
-        # per epoch: the base loss and one stacked call over all 116 probes; then the final loss
-        assert scored == [(20, 2), (2 * model.param_count, 20, 2)] * epochs + [(20, 2)]
+    def test_layer_probe_steps_the_later_layers(self, monkeypatch):
+        # at depth 2 every layer-0 or lift probe also steps layer 1, on new signals with its cached
+        # unit taps, and a layer-1 probe steps layer 1 alone: lift 16 x 2, c 64 x 2 and 64 x 1,
+        # gain 16 x 2 and 16 x 1 steps
+        steps, signals = 32 + 128 + 64 + 32 + 16, 32 + 64 + 16
+        assert_probe_counts(monkeypatch, depth=2, steps=steps, signals=signals, units=64 + 64)
 
     @pytest.mark.parametrize("k", [1, 2, 7, 96])
     def test_failed_probe_restores_its_entry(self, monkeypatch, k):
@@ -358,16 +427,16 @@ class TestTrainDemo:
         model = SequenceClassifier(small_stack("kb"), seq_length=16, seed=0)
         batch, labels = generate_task(SyntheticTask(length=16), 20, 0)
         before = model.get_param_vector()
-        features, calls = model.features, []
+        step, calls = model_module._layer_step, []
 
-        def failing(u, channels=slice(None)):
-            if channels != slice(None):
-                calls.append(channels)
+        def failing(x, taps, signals):
+            if x.shape[1] == 1:
+                calls.append(x.shape)
                 if len(calls) == k:
                     raise RuntimeError("probe failed")
-            return features(u, channels)
+            return step(x, taps, signals)
 
-        monkeypatch.setattr(model, "features", failing)
+        monkeypatch.setattr(model_module, "_layer_step", failing)
         with pytest.raises(RuntimeError, match="probe failed"):
             model.loss_and_gradient(batch.values[:, :, 0], labels)
         assert len(calls) == k
