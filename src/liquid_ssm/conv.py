@@ -154,10 +154,10 @@ def _chunked_scan(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:
     """Re <c_bar, x_k> of x_k = a_bar x_{k-1} + b_bar u_k (x_{-1} = 0) along the last axis of u.
 
     The causal convolution of u with the system's taps, in blocks of
-    T = min(BAND_TAPS, L) samples: inside a block one product with the
-    (T, T) band of the first T taps; across blocks the state at the end of
-    block j, S_j = a_bar^T S_{j-1} + X_j with X_j the block's own input
-    state, adds Re <(a_bar*)^(i+1) c_bar, S_j> to sample i of block j + 1.
+    T = min(BAND_TAPS, L) samples: inside a block one ``_band_product``
+    with the (T, T) band of the first T taps; across blocks the state at
+    the end of block j, S_j = a_bar^T S_{j-1} + X_j with X_j the block's own
+    input state, adds Re <(a_bar*)^(i+1) c_bar, S_j> to sample i of block j + 1.
     No length-L kernel and no spectrum is formed, and the cost is
     O(T + 4N) per sample. Complex products are real ones on [Re | Im] stacks.
     """
@@ -165,12 +165,11 @@ def _chunked_scan(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:
     t = min(BAND_TAPS, l)
     blocks = -(-l // t)
     left = _krylov_block(d.a_bar.conj().T, d.c_bar, t + 1)  # row i: (a_bar*)^i c_bar
-    lag, valid = _band_index(t, t, t)
     x = u.reshape(-1, l)
     if blocks * t > l:
         x = np.concatenate([x, np.zeros((len(x), blocks * t - l))], axis=-1)
     rows = x.reshape(-1, t)  # every block of every sequence, one row each
-    y = rows @ np.where(valid, (left[:t].conj() @ d.b_bar).real[lag], 0.0)
+    y = _band_product((left[:t].conj() @ d.b_bar).real, rows, t)
     if blocks > 1:
         right = _krylov_block(d.a_bar, d.b_bar, t)[::-1]  # row i: a_bar^(T-1-i) b_bar
         state = (rows @ np.hstack([right.real, right.imag])).reshape(len(x), blocks, 2 * d.n)

@@ -266,13 +266,23 @@ class SequenceClassifier:
             )
         return u[:, None, :] * self.params["lift_w"][channels, None] + self.params["lift_b"][channels, None]
 
+    def _pass(self, u: np.ndarray) -> tuple[np.ndarray, list]:
+        """Pooled features (n, H) of raw sequences u (n, L) and, for every layer, (signals, unit taps).
+
+        The signals are the layer's correlation signals, order 1 being its
+        input; the unit taps are its taps at unit energy, before the gain.
+        """
+        x, layers = self._lift(u), []
+        for li in range(self.stack.depth):
+            unit = self._unit_taps(li)
+            signals = list(correlation_signals(x, len(unit)))
+            layers.append((signals, unit))
+            x = _layer_step(x, _gained(unit, self.params[f"gain_{li}"]), signals)
+        return x.mean(axis=2), layers
+
     def features(self, u: np.ndarray) -> np.ndarray:
         """Pooled features (n, H) of raw sequences u (n, L): lift, every layer, mean over time."""
-        x = self._lift(u)
-        for li in range(self.stack.depth):
-            taps = self.layer_taps(li)
-            x = _layer_step(x, taps, correlation_signals(x, len(taps)))
-        return x.mean(axis=2)
+        return self._pass(u)[0]
 
     def readout(self, pooled: np.ndarray) -> np.ndarray:
         """Logits of pooled (n, H) features."""
@@ -306,13 +316,7 @@ class SequenceClassifier:
         probe's logits are stacked as (2 * ``param_count``, n, C) and scored
         by one ``_cross_entropy`` call.
         """
-        x, cache = self._lift(u), []
-        for li in range(self.stack.depth):
-            unit = self._unit_taps(li)
-            signals = list(correlation_signals(x, len(unit)))
-            cache.append((signals, unit))
-            x = _layer_step(x, _gained(unit, self.params[f"gain_{li}"]), signals)
-        pooled = x.mean(axis=2)
+        pooled, cache = self._pass(u)
         loss, acc = _cross_entropy(self.readout(pooled), labels)
         logits, steps = [], []
         for name in self._order:

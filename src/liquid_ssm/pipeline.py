@@ -2,8 +2,7 @@
 
 Order 1 runs through ``conv._chunked_scan`` straight from the discretized
 system; orders 2..P go through one order-summed ``causal_conv`` call. A
-large state or a transformed liquid order puts the main kernel back into
-that call as order 1.
+large state puts the main kernel back into that call as order 1.
 
 ``MODES`` is the package's one list of liquid modes.
 """
@@ -35,11 +34,11 @@ def forward_liquid_s4(
     batch (..., L). The main order (corr_1 = u) is the system's own response,
     scanned block by block without a length-L kernel; the liquid kernels of
     orders 2..max_order, when ``mode`` is ``'kb'`` or ``'pb'``, are summed by
-    one ``causal_conv`` call. A state of more than half the scan block, or a
-    liquid window of more than ``BAND_TAPS`` taps (a transformed order), sends
-    the main kernel into that call as order 1 instead. With ``mode='none'``
-    this must agree with the recurrent reference to 1e-8. The system is
-    discretized once, for both.
+    one ``causal_conv`` call, made before the scan so that a transformed
+    order's spectrum is freed first. A state of more than half the scan
+    block sends the main kernel into that call as order 1 instead. With
+    ``mode='none'`` this must agree with the recurrent reference to 1e-8.
+    The system is discretized once, for both.
     """
     if mode not in MODES:
         raise DimensionError(f"unknown mode {mode!r}")
@@ -55,13 +54,14 @@ def forward_liquid_s4(
             raise DimensionError(f"window {window} exceeds sequence length {l}")
         taps = _liquid_kernels(d, mode, max_order, window).taps
     signals = correlation_signals(u, len(taps) + 1)
-    # the scan costs T + 4N per sample (T = min(BAND_TAPS, L)); above N = T/2 a transform is
-    # cheaper, and cheaper still when transformed liquid orders have formed a spectrum already
-    if 2 * d.n > min(BAND_TAPS, l) or any(len(t) > BAND_TAPS for t in taps):
+    # the scan costs T + 4N per sample (T = min(BAND_TAPS, L)); above N = T/2 a transform is cheaper
+    if 2 * d.n > min(BAND_TAPS, l):
         return causal_conv([_genfn_kernel(d, l).taps, *taps], signals)
-    y = _chunked_scan(d, next(signals))  # order 1 is u itself
-    if taps:
-        y += causal_conv(taps, signals)
+    if not taps:
+        return _chunked_scan(d, u)
+    next(signals)  # order 1 is u itself, scanned after the liquid orders
+    y = causal_conv(taps, signals)
+    y += _chunked_scan(d, u)
     return y
 
 

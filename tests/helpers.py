@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from liquid_ssm.conv import causal_conv
 from liquid_ssm.kernel import _rel_linf as rel_linf  # noqa: F401
@@ -8,6 +9,9 @@ from liquid_ssm.liquid import correlation_signals
 from liquid_ssm.model import FD_STEP, _cross_entropy
 from liquid_ssm.ssm import DiscreteSystem
 from liquid_ssm.verify import _random_system as random_stable_system  # noqa: F401
+
+# the settings of the suite's hypothesis properties that draw 25 examples
+PROPERTY = settings(max_examples=25, deadline=None)
 
 
 def scalar_discrete(a: float, b: float, c: float) -> DiscreteSystem:

@@ -3,7 +3,8 @@
 Each batched primitive is held to its row-by-row form: ``causal_conv`` to
 the direct summation (its order-summed form to a sum of direct summations),
 ``correlation_signals`` and ``forward_liquid_s4`` to stacks of 1-D calls,
-and the chunked scan of the main order to the direct sum of the oracle taps.
+and the chunked scan of the main order, and the whole kb/pb forward with
+liquid windows on both sides of BAND_TAPS, to direct sums of the oracle taps.
 Sequence lengths straddle the L = 64 switch between one (L, L) band and the
 per-order rule, and tap lengths the BAND_TAPS cut between the blocked band
 and the FFT, so every branch is drawn for shared and per-feature taps; a
@@ -13,18 +14,18 @@ tap-length cut at L = 2048.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from liquid_ssm import pipeline
 from liquid_ssm.conv import BAND_TAPS, _chunked_scan, causal_conv, causal_conv_direct
 from liquid_ssm.errors import DimensionError
-from liquid_ssm.liquid import correlation_signals
+from liquid_ssm.liquid import _kb_taps_discrete, _pb_taps_discrete, correlation_signals
 from liquid_ssm.pipeline import feature_systems, forward_liquid_s4
 from liquid_ssm.ssm import discretize_bilinear, nplr_decompose
 from liquid_ssm.kernel import _rel_linf, kernel_naive
 
-from helpers import count_fft
+from helpers import PROPERTY, count_fft
 
-PROPERTY = settings(max_examples=25, deadline=None)
 lengths = st.one_of(st.integers(1, 64), st.integers(65, 400))
 seeds = st.integers(0, 2**32 - 1)
 
@@ -214,15 +215,18 @@ def test_order_sum_matches_direct(l, orders, per_feature, h, batch, seed):
     [
         (BAND_TAPS // 2, None, (0, 0)),  # scanned main order, banded 32-tap orders 2..3: nothing transformed
         (BAND_TAPS // 2 + 1, None, (2, 1)),  # a state above half the block: the main kernel and its signal
-        (8, BAND_TAPS + 1, (6, 1)),  # transformed liquid orders: the main kernel joins their spectrum
+        (8, BAND_TAPS + 1, (4, 1)),  # transformed liquid orders: 2 signals and 2 tap sets; order 1 is scanned
     ],
 )
 def test_kb_forward_transforms_only_above_the_scan_rule(monkeypatch, n, window, ffts):
     sys_ = nplr_decompose(n, seed=1)
     u = np.random.default_rng(0).normal(0.0, 1.0, (2, 2048))
     forward, inverse = count_fft(monkeypatch, "rfft"), count_fft(monkeypatch, "irfft")
+    scanned = []
+    monkeypatch.setattr(pipeline, "_chunked_scan", lambda *a: scanned.append(1) or _chunked_scan(*a))
     forward_liquid_s4(sys_, 0.01, u, "kb", 3, window)
     assert (len(forward), len(inverse)) == ffts
+    assert len(scanned) == (2 * n <= BAND_TAPS)  # the state alone decides; the window does not
 
 
 @PROPERTY
@@ -245,6 +249,35 @@ def test_chunked_scan_matches_direct_sum(l, batch, n, dt, seed):
     for got in (_chunked_scan(d, u), forward_liquid_s4(sys_, dt, u, "none")):
         assert got.shape == u.shape
         assert _rel_linf(got, want) < 1e-10
+
+
+@PROPERTY
+@given(
+    l=st.one_of(st.integers(128, 520), st.sampled_from([128, 129, 191, 192, 193, 255, 256, 257])),
+    window=st.sampled_from([63, 64, 65, 128, None]),
+    batch=st.sampled_from([None, 1, 2]),
+    n=st.one_of(st.integers(1, 8), st.sampled_from([BAND_TAPS // 2, BAND_TAPS // 2 + 1])),
+    mode=st.sampled_from(["kb", "pb"]),
+    order=st.integers(2, 4),
+    dt=st.floats(1e-3, 0.2),
+    seed=st.integers(0, 2**16),
+)
+def test_liquid_forward_matches_direct_sum(l, window, batch, n, mode, order, dt, seed):
+    # the whole forward against direct sums of the oracle taps: the main order's kernel_naive taps on u,
+    # the liquid orders' KB/PB taps on the correlation signals; windows on both sides of BAND_TAPS and
+    # W = L (None), states on both sides of the scan rule, lengths across block edges
+    window = l if window is None else window
+    sys_ = nplr_decompose(n, seed=seed)
+    d = discretize_bilinear(sys_, dt)
+    u = np.random.default_rng(seed).normal(0.0, 1.0, (l,) if batch is None else (batch, l))
+    liquid_taps = _kb_taps_discrete if mode == "kb" else _pb_taps_discrete
+    taps = [kernel_naive(d, l).taps] + [liquid_taps(d, p, window).real for p in range(2, order + 1)]
+    want = np.reshape(
+        [sum(map(causal_conv_direct, taps, correlation_signals(row, order))) for row in u.reshape(-1, l)], u.shape
+    )
+    got = forward_liquid_s4(sys_, dt, u, mode, order, window)
+    assert got.shape == u.shape
+    assert _rel_linf(got, want) < 1e-10
 
 
 @PROPERTY

@@ -3,15 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from liquid_ssm.errors import DimensionError
 from liquid_ssm.kernel import bench_kernel, kernel_genfn, kernel_naive
 from liquid_ssm.ssm import DiscreteSystem, DplrSystem, discretize_bilinear, nplr_decompose
 
-from helpers import random_stable_system, rel_linf, scalar_discrete as scalar_system
-
-PROPERTY = settings(max_examples=25, deadline=None)
+from helpers import PROPERTY, random_stable_system, rel_linf, scalar_discrete as scalar_system
 
 
 def _complex_output_map():

@@ -22,7 +22,7 @@ from liquid_ssm.model import (
 from liquid_ssm.pipeline import MODES, feature_systems
 from liquid_ssm.ssm import _legs_core, discretize_bilinear, init_dt_schedule, nplr_decompose
 
-from helpers import probe_gradient_reference
+from helpers import PROPERTY, probe_gradient_reference
 
 
 def window_products(u, p):
@@ -277,7 +277,7 @@ def test_stacked_cross_entropy_is_each_slice(data, r, n, classes):
         assert accs[i] == acc
 
 
-@settings(max_examples=25, deadline=None)
+@PROPERTY
 @given(
     depth=st.integers(1, 3),
     features=st.integers(1, 4),

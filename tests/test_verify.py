@@ -1,10 +1,10 @@
 """Property: the invariant suite holds at every seed, and its fault injection trips it."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from liquid_ssm.verify import run_suite
 
-PROPERTY = settings(max_examples=25, deadline=None)
+from helpers import PROPERTY
 
 
 @PROPERTY
