@@ -110,13 +110,15 @@ def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterabl
     one tap array and one signal are the one-order case. Any other count or
     shape of signals raises ``DimensionError``.
 
-    One loop over the orders. When L <= ``BAND_TAPS``, or when L <= 256 and
-    at least L sequences share each band (per-feature taps give every
-    feature its own band), every order is one product with its (L, L)
-    Toeplitz band. Otherwise an order of at most ``BAND_TAPS`` taps is a
-    blocked product with a (L_k, 2 L_k) band, taken as soon as its signal
-    arrives, and each longer order adds its spectrum to one sum, inverted
-    once after the loop and added to the banded sum.
+    One loop walks the orders in the order given, draws each signal when
+    its order comes and lets go of it once that order is summed: from a
+    generator, only the previous signal is alive while the next is drawn.
+    When L <= ``BAND_TAPS``, or when L <= 256 and at least L sequences share
+    each band (per-feature taps give every feature its own band), every
+    order is one product with its (L, L) Toeplitz band. Otherwise an order
+    of at most ``BAND_TAPS`` taps is a blocked product with a (L_k, 2 L_k)
+    band, and each longer order adds its spectrum to one sum, inverted once
+    after the loop and added to the banded sum.
     """
     if isinstance(taps, np.ndarray):
         taps, u = (taps,), (u,)
@@ -128,13 +130,13 @@ def causal_conv(taps: np.ndarray | Sequence[np.ndarray], u: np.ndarray | Iterabl
     l = first.shape[-1]
     bands = max((t.shape[0] for t in taps if t.ndim == 2), default=1)
     one_block = l <= BAND_TAPS or (l <= 256 and first.size // bands >= l * l)
-    head, rest = itertools.zip_longest(taps[:1], [first]), itertools.zip_longest(taps[1:], signals)
+    # only the shape stays: an iterator, unlike a tuple in chain, lets go of the signal once drawn
+    shape, first = first.shape, iter((first,))
     y = spectrum = None
-    # above one block order 1 comes last: no spectrum is alive while short orders are banded
-    for t, x in itertools.chain(head, rest) if one_block else itertools.chain(rest, head):
+    for t, x in itertools.zip_longest(taps, itertools.chain(first, signals)):
         x = np.asarray(x, dtype=float)
-        if t is None or x.shape != first.shape:
-            raise DimensionError(f"{len(taps)} tap sets need as many signals, all shaped {first.shape}")
+        if t is None or x.shape != shape:
+            raise DimensionError(f"{len(taps)} tap sets need as many signals, all shaped {shape}")
         if one_block or t.shape[-1] <= BAND_TAPS:
             part = _band_product(t, x, l if one_block else t.shape[-1])
             y = part if y is None else iadd(y, part)

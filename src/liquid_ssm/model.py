@@ -201,6 +201,8 @@ class SequenceClassifier:
         # for each liquid order p, a^t b^p (KB) or b^p repeated (PB, identity transition)
         self._bases: list[list[np.ndarray]] = []  # [order - 1] -> (H, N, L_k)
         for li, layer in enumerate(stack.layers):
+            if layer.mode != "none" and layer.window > self.seq_length:  # taps past L would enter the unit norm
+                raise DimensionError(f"window {layer.window} exceeds sequence length {self.seq_length}")
             dts = init_dt_schedule(h, layer.dt_min, layer.dt_max, seed * 1000 + li, seq_length)
             bank = feature_systems(layer.state_size, h, seed * 1000 + 97 * li, dts)
             ds = [discretize_bilinear(sys_, dt) for sys_, dt in bank]
@@ -252,10 +254,6 @@ class SequenceClassifier:
         c = self.params[f"c_re_{li}"][channels] + 1j * self.params[f"c_im_{li}"][channels]
         taps = [np.einsum("hn,hnt->ht", c.conj(), kry[channels]).real for kry in self._bases[li]]
         return [t / np.maximum(np.linalg.norm(t, axis=-1, keepdims=True), 1e-12) for t in taps]
-
-    def layer_taps(self, li: int) -> list[np.ndarray]:
-        """Per-order taps of layer li, orders 1..P, each (H, L_k): unit energy times the order's gain."""
-        return _gained(self._unit_taps(li), self.params[f"gain_{li}"])
 
     def _lift(self, u: np.ndarray, channels: slice = slice(None)) -> np.ndarray:
         """The 1 -> H input lift of raw sequences u (n, L), as (n, h, L) for the selected channels."""

@@ -6,7 +6,7 @@ from hypothesis import settings
 from liquid_ssm.conv import causal_conv
 from liquid_ssm.kernel import _rel_linf as rel_linf  # noqa: F401
 from liquid_ssm.liquid import correlation_signals
-from liquid_ssm.model import FD_STEP, _cross_entropy
+from liquid_ssm.model import FD_STEP, _cross_entropy, _gained
 from liquid_ssm.ssm import DiscreteSystem
 from liquid_ssm.verify import _random_system as random_stable_system  # noqa: F401
 
@@ -40,7 +40,7 @@ def one_channel_features(model, u: np.ndarray, h: int) -> np.ndarray:
     channel = slice(h, h + 1)
     x = u[:, None, :] * model.params["lift_w"][channel, None] + model.params["lift_b"][channel, None]
     for li in range(model.stack.depth):
-        taps = [t[channel] for t in model.layer_taps(li)]
+        taps = [t[channel] for t in _gained(model._unit_taps(li), model.params[f"gain_{li}"])]
         pre = causal_conv(taps, correlation_signals(x, len(taps)))
         x = x + 0.5 * pre * (1.0 + pre / np.sqrt(1.0 + pre * pre))  # gelu, as a formula
     return x.mean(axis=2)

@@ -1,8 +1,9 @@
 """The package surface: numpy stays the only runtime dependency, and every export resolves.
 
 The package imports nothing outside the standard library but numpy, each
-module uses every name it imports, and each name in ``liquid_ssm.__all__`` is
-listed once and bound on the package.
+module uses every name it imports, each function the package defines is
+named somewhere in the package or in perfbench, and each name in
+``liquid_ssm.__all__`` is listed once and bound on the package.
 """
 
 import ast
@@ -59,3 +60,36 @@ def test_every_export_resolves_once():
     names = liquid_ssm.__all__
     assert len(names) == len(set(names))
     assert not [name for name in names if not hasattr(liquid_ssm, name)]
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+TEST_ONLY = {"_pb_taps_discrete"}  # an oracle that only the tests call
+
+
+def names_read(path: Path) -> set[str]:
+    """Every name one source file reads: as a name, as an attribute or as an imported name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_function_is_reached():
+    # a deletion that leaves a function without callers fails here; the CLI looks up its handlers
+    # cmd_* by name, and Python calls the dunder methods
+    sources = sorted(SRC.glob("*.py"))
+    reached = set().union(*map(names_read, sources + sorted(PERFBENCH.glob("*.py"))))
+    defined = {
+        node.name
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+    }
+    exempt = {name for name in defined if name.startswith("cmd_") or (name[:2] == name[-2:] == "__")}
+    unreached = defined - reached - exempt - TEST_ONLY
+    assert not unreached

@@ -9,8 +9,12 @@ Sequence lengths straddle the L = 64 switch between one (L, L) band and the
 per-order rule, and tap lengths the BAND_TAPS cut between the blocked band
 and the FFT, so every branch is drawn for shared and per-feature taps; a
 table of shapes pins the batch-size rule between L = 64 and L = 256 and the
-tap-length cut at L = 2048.
+tap-length cut at L = 2048. Signals drawn from a generator of fresh arrays
+pin the walk over the orders: each signal is let go once its order is
+summed, on every branch.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -89,6 +93,34 @@ def test_blocked_band_matches_direct(l, lks, main_at, per_feature, h, batch, see
             signals = correlation_signals(u[b, i], len(taps))
             want = sum(causal_conv_direct(t[i] if per_feature else t, x) for t, x in zip(taps, signals))
             assert np.max(np.abs(got[b, i] - want)) < 1e-10
+
+
+@PROPERTY
+@given(
+    l=st.integers(1, 300),
+    lks=st.lists(st.integers(1, 100), min_size=1, max_size=4),
+    per_feature=st.booleans(),
+    rows=st.integers(1, 3),
+    seed=seeds,
+)
+def test_each_signal_let_go_once_its_order_is_summed(l, lks, per_feature, rows, seed):
+    # signals come from a generator, one fresh (rows, L) array per order; when signal k is drawn, every
+    # signal before k - 1 is gone, whatever the algorithm of each order (one band, blocked band or FFT)
+    rng = np.random.default_rng(seed)
+    taps = [rng.normal(0.0, 1.0, (rows, lk) if per_feature else (lk,)) for lk in lks]
+    drawn, want = [], np.zeros((rows, l))
+
+    def fresh_signals():
+        for k, t in enumerate(taps):
+            assert all(ref() is None for ref in drawn[: max(k - 1, 0)])
+            x = rng.normal(0.0, 1.0, (rows, l))
+            drawn.append(weakref.ref(x))
+            want[:] += [causal_conv_direct(t[i] if per_feature else t, x[i]) for i in range(rows)]
+            yield x
+
+    got = causal_conv(taps, fresh_signals())
+    assert len(drawn) == len(taps)
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def check_branch(monkeypatch, l, rows, lk, uses_band):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from liquid_ssm.model import (
     gelu,
     generate_task,
     _cross_entropy,
+    _gained,
     train_demo,
 )
 from liquid_ssm.pipeline import MODES, feature_systems
@@ -32,7 +35,7 @@ def window_products(u, p):
 
 def layer_parts(model, li, x):
     """Layer li's pre-activation on x (n, H, L), split into its order-1 (main) and liquid terms."""
-    taps = model.layer_taps(li)
+    taps = _gained(model._unit_taps(li), model.params[f"gain_{li}"])
     signals = list(correlation_signals(x, len(taps)))
     main = causal_conv(taps[0], signals[0])
     liquid = causal_conv(taps[1:], signals[1:]) if len(taps) > 1 else np.zeros_like(main)
@@ -323,7 +326,8 @@ def test_one_channel_pass_is_the_all_channel_column(length, n, mode):
     u = np.random.default_rng(length + n).normal(0.0, 1.0, (n, length))
     x = model._lift(u)
     for li in range(2):
-        unit, taps = model._unit_taps(li), model.layer_taps(li)
+        unit = model._unit_taps(li)
+        taps = _gained(unit, model.params[f"gain_{li}"])
         signals = list(correlation_signals(x, len(taps)))
         full = model_module._layer_step(x, taps, signals)
         for h in range(3):
@@ -505,6 +509,15 @@ class TestConfigValidation:
             with pytest.raises(DimensionError, match="window"):
                 LayerConfig(mode=mode, window=0)
         LayerConfig(mode="none", window=0)  # no liquid taps, no window to check
+
+    @pytest.mark.parametrize("mode", ["kb", "pb"])
+    def test_window_longer_than_the_sequence_rejected(self, mode):
+        # taps past L reach no output but would enter the unit-energy norm and shrink the taps that act
+        layer = LayerConfig(features=2, state_size=3, mode=mode, max_order=2, window=9)
+        with pytest.raises(DimensionError, match="window 9 exceeds sequence length 8"):
+            SequenceClassifier(ModelStack(layers=(LayerConfig(features=2), layer)), seq_length=8)
+        SequenceClassifier(ModelStack(layers=(layer,)), seq_length=9)
+        SequenceClassifier(ModelStack(layers=(replace(layer, mode="none"),)), seq_length=8)
 
     def test_stack_validation(self):
         with pytest.raises(DimensionError):
