@@ -161,7 +161,10 @@ def _chunked_scan(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:
     the end of block j, S_j = a_bar^T S_{j-1} + X_j with X_j the block's own
     input state, adds Re <(a_bar*)^(i+1) c_bar, S_j> to sample i of block j + 1.
     No length-L kernel and no spectrum is formed, and the cost is
-    O(T + 4N) per sample. Complex products are real ones on [Re | Im] stacks.
+    O(T + 4N) per sample. The carries are added T blocks per sequence per
+    product, so beyond the output and the block states the scan holds at
+    most T^2 samples per sequence. Complex products are real ones on
+    [Re | Im] stacks.
     """
     l = u.shape[-1]
     t = min(BAND_TAPS, l)
@@ -172,16 +175,21 @@ def _chunked_scan(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:
         x = np.concatenate([x, np.zeros((len(x), blocks * t - l))], axis=-1)
     rows = x.reshape(-1, t)  # every block of every sequence, one row each
     y = _band_product((left[:t].conj() @ d.b_bar).real, rows, t)
-    if blocks > 1:
+    if blocks > 1 and len(x):  # an empty batch has no carry
         right = _krylov_block(d.a_bar, d.b_bar, t)[::-1]  # row i: a_bar^(T-1-i) b_bar
         state = (rows @ np.hstack([right.real, right.imag])).reshape(len(x), blocks, 2 * d.n)
         q = np.linalg.matrix_power(d.a_bar, t).T
         step = np.block([[q.real, q.imag], [-q.imag, q.real]])  # [Re | Im] of S to that of a_bar^T S
         for j in range(1, blocks - 1):
             state[:, j] += state[:, j - 1] @ step
-        # one product for every block; the last block's carry has no block to go to
-        carry = state.reshape(len(rows), 2 * d.n) @ np.vstack([left[1:].real.T, left[1:].imag.T])
-        y.reshape(len(x), blocks, t)[:, 1:] += carry.reshape(len(x), blocks, t)[:, :-1]
+        # each block's carry goes to the next row of y, T blocks per sequence per product; a
+        # sequence's last block has no block to go to, so its state is zeroed, not skipped
+        state[:, -1] = 0.0
+        state = state.reshape(len(rows), 2 * d.n)
+        lift = np.vstack([left[1:].real.T, left[1:].imag.T])
+        for j in range(0, len(rows) - 1, t * len(x)):
+            k = min(j + t * len(x), len(rows) - 1)
+            y[j + 1 : k + 1] += state[j:k] @ lift
     return y.reshape(x.shape)[:, :l].reshape(u.shape)
 
 

@@ -8,10 +8,14 @@ the L taps into rows of T = ceil(sqrt(L)): tap jT + i is
 of c_bar under a_bar*, a right block of ceil(L/T) Krylov vectors of b_bar
 under one matrix power a_bar^T, and one complex matrix product give every
 tap. This is the chunked form of the recurrent view; no frequency grid, pole
-or rank-1 combination is involved, and it stays accurate at any step. The
-naive and fast paths must agree to 1e-8 relative L-infinity on any stable
-system. ``bench_kernel`` times both with ``_best_of``, the one round-robin
-timer of the package.
+or rank-1 combination is involved, and it stays accurate at any step. Each
+Krylov block of l rows is filled ceil(sqrt(l)) rows per product with one
+matrix power (``_krylov_block``) when the power's squarings cost less than
+the row matvecs they replace; the oracle keeps the one-matvec-per-tap chain
+of ``_krylov``, so it shares no rounding with the blocks. The naive and fast
+paths must agree to 1e-8 relative L-infinity on any stable system.
+``bench_kernel`` times both with ``_best_of``, the one round-robin timer of
+the package.
 """
 
 from __future__ import annotations
@@ -69,13 +73,26 @@ def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
 
 
 def _krylov_block(a: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
-    """The (l, N) block whose row i is a^i x, filled from ``_krylov``.
+    """The (l, N) block whose row i is a^i x, in steps of s = ceil(sqrt(l)) rows.
 
-    Allocated first, so an l beyond memory fails before any step is taken.
+    The first s rows come from ``_krylov``; then every s rows at once are
+    the s rows before them times (a^s)^T, one product each, from one
+    ``matrix_power``. Its squarings cost log2(s) N^3 flops against the
+    block's l N^2, so the product form is taken only when log2(s) N <= l;
+    otherwise every row comes from ``_krylov``. Allocated first, so an l
+    beyond memory fails before any step is taken.
     """
     block = _empty((l, len(x)), np.result_type(a, x))
-    for row, v in zip(block, _krylov(a, x, l)):
+    s = math.isqrt(max(l - 1, 0)) + 1  # ceil(sqrt(l))
+    if s >= l or math.log2(s) * len(x) > l:  # no product pays: every row is a matvec
+        s = l
+    for row, v in zip(block[:s], _krylov(a, x, s)):
         row[...] = v
+    if s < l:
+        q = np.linalg.matrix_power(a, s).T
+        for j in range(s, l, s):
+            m = min(s, l - j)
+            np.matmul(block[j - s : j - s + m], q, out=block[j : j + m])
     return block
 
 
@@ -113,8 +130,10 @@ def _genfn_kernel(d: DiscreteSystem, l: int) -> Kernel:
 
 
 def kernel_genfn(sys: DplrSystem, dt: float, l: int) -> Kernel:
-    """Krylov-block kernel generation, O(N^3 log L + sqrt(L) N^2 + L N).
+    """Krylov-block kernel generation, O(N^3 log L + sqrt(L) N^2 + L N) after an O(N^2) step.
 
+    Each Krylov block is O(L^(1/4)) sequential matvecs and as many block
+    products when log2(ceil(L^(1/4))) N <= sqrt(L), else O(sqrt(L)) matvecs.
     Discretizes ``sys`` at ``dt`` and returns its first l taps
     <c_bar, a_bar^k b_bar> from one left Krylov block of T = ceil(sqrt(l))
     rows, one right block of ceil(l/T) rows under a_bar^T, and their

@@ -32,6 +32,7 @@ from .ssm import (
     hippo_legs,
     legs_init_vectors,
     nplr_decompose,
+    _discretize_dense,
     _legs_core,
 )
 
@@ -187,6 +188,15 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
     got = forward_liquid_s4(sys, 0.05, u, mode="none")
     res = max(_rel_linf(y, recurrent_s4(d, x)) for y, x in zip(got, u))
     results.append(_result("forward_scan_matches_recurrent", res, 1e-8))
+
+    # last, so no other check's draws move: the structured step against one dense LU solve
+    res = 0.0
+    for sys, dt in [(nplr_decompose(64, seed=seed), 0.01), (_random_system(rng, 16), 1e3)] + [
+        (_random_system(rng, n), float(np.exp(rng.uniform(np.log(1e-6), np.log(1e6))))) for n in (1, 8, 32)
+    ]:
+        fast, dense = discretize_bilinear(sys, dt), _discretize_dense(sys, dt)
+        res = max(res, _rel_linf(fast.a_bar, dense.a_bar), _rel_linf(fast.b_bar, dense.b_bar))
+    results.append(_result("discretize_matches_dense_solve", res, 1e-10))
 
     return results
 

@@ -101,6 +101,15 @@ class TestKernelCommand:
         assert doc["verify"]["passed"] is True
         assert doc["verify"]["rel_linf"] < 1e-8
 
+    @pytest.mark.parametrize("verify, keys", [(False, ["discretize", "genfn"]), (True, ["discretize", "genfn", "naive"])])
+    def test_timing_per_stage(self, tmp_path, verify, keys):
+        # the step and the Krylov-block kernel are timed apart, both under timing_ms
+        out = tmp_path / "k.json"
+        assert run(["kernel", "--length", "64", "--out", str(out)] + ["--verify"] * verify) == 0
+        timing = json.loads(out.read_text())["timing_ms"]
+        assert list(timing) == keys
+        assert all(ms >= 0.0 for ms in timing.values())
+
     @pytest.mark.parametrize("dt", [1e-12, 1e-300])
     def test_verify_tiny_step_exit_0(self, tmp_path, dt):
         # b_bar ~ dt B: at 1e-300 it is near the subnormal range, and any warning fails the run

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liquid_ssm.errors import DimensionError
-from liquid_ssm.kernel import bench_kernel, kernel_genfn, kernel_naive
+from liquid_ssm.kernel import _krylov, _krylov_block, bench_kernel, kernel_genfn, kernel_naive
 from liquid_ssm.ssm import DiscreteSystem, DplrSystem, discretize_bilinear, nplr_decompose
 
 from helpers import PROPERTY, random_stable_system, rel_linf, scalar_discrete as scalar_system
@@ -161,6 +161,37 @@ class TestKernelGenfn:
             kernel_genfn(sys, 0.1, 0)
         with pytest.raises(DimensionError):
             kernel_genfn(sys, -0.1, 8)
+
+
+class TestKrylovBlock:
+    @PROPERTY
+    @given(
+        n=st.integers(1, 128),
+        l=st.integers(1, 1100),
+        legs=st.booleans(),
+        form=st.sampled_from(["a", "a*", "power"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sequential_rows(self, n, l, legs, form, seed):
+        # both forms occur on this grid: the plain loop below log2(ceil(sqrt(l))) N <= l, products above
+        rng = np.random.default_rng(seed)
+        dt = float(np.exp(rng.uniform(np.log(1e-6), 0.0)))
+        d = discretize_bilinear(nplr_decompose(n, seed) if legs else random_stable_system(rng, n), dt)
+        a = {"a": d.a_bar, "a*": d.a_bar.conj().T, "power": np.linalg.matrix_power(d.a_bar, int(rng.integers(2, 65)))}
+        x = d.c_bar if form == "a*" else d.b_bar
+        want = np.array(list(_krylov(a[form], x, l)))
+        got = _krylov_block(a[form], x, l)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n, l, powers", [(64, 256, [16]), (128, 256, []), (8, 65, [9]), (4, 2, [])])
+    def test_product_form_rule(self, monkeypatch, n, l, powers):
+        # products of s = ceil(sqrt(l)) rows only when log2(s) N <= l: kernel-long's blocks (N = 64,
+        # l = 256) sit on the line and take them, N = 128 at l = 256 keeps the loop
+        seen, power = [], np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda a, s: seen.append(s) or power(a, s))
+        d = discretize_bilinear(nplr_decompose(n), 0.01)
+        _krylov_block(d.a_bar, d.b_bar, l)
+        assert seen == powers
 
 
 class TestFftPins:

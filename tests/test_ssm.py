@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from liquid_ssm.errors import DimensionError, DiscretizationError
 from liquid_ssm.ssm import (
     DiscreteSystem,
     DplrSystem,
+    _discretize_dense,
     _legs_core,
     discretize_bilinear,
     hippo_legs,
@@ -15,7 +17,7 @@ from liquid_ssm.ssm import (
     nplr_decompose,
 )
 
-from helpers import random_stable_system
+from helpers import PROPERTY, random_stable_system, rel_linf
 
 
 class TestHippoLegs:
@@ -175,6 +177,36 @@ class TestDiscretizeBilinear:
         # dt/2 A overflows: one typed error, and no numpy warning (the suite makes warnings errors)
         with pytest.raises(DiscretizationError):
             discretize_bilinear(nplr_decompose(8), 1e308)
+
+    @PROPERTY
+    @given(
+        legs=st.booleans(),
+        n=st.integers(1, 256),
+        log_dt=st.floats(math.log(1e-300), math.log(1e300)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_solve(self, legs, n, log_dt, seed):
+        # the Sherman-Morrison step against one LU solve of [I + dt/2 A | dt B], at steps from 1e-300 to 1e300
+        sys = nplr_decompose(n, seed) if legs else random_stable_system(np.random.default_rng(seed), n)
+        dt = math.exp(log_dt)
+        fast, dense = discretize_bilinear(sys, dt), _discretize_dense(sys, dt)
+        assert rel_linf(fast.a_bar, dense.a_bar) < 1e-10
+        assert rel_linf(fast.b_bar, dense.b_bar) < 1e-10
+        assert fast.c_bar is sys.c
+
+    @pytest.mark.parametrize(
+        "sys, dt",
+        [
+            (nplr_decompose(8), 1e308),  # h lam overflows
+            (DplrSystem(lam=[-1.0], p=[1e5], b=[1.0], c=[1.0]), 1e300),  # h |p|^2 overflows, h lam does not
+            (DplrSystem(lam=[2.0 / 0.5], p=[0.0], b=[1.0], c=[1.0]), 0.5),  # singular diagonal
+            (DplrSystem(lam=[3.0, -1.0], p=[1.0, 0.0], b=[1.0, 1.0], c=[1.0, 1.0]), 1.0),  # singular M, regular D
+        ],
+    )
+    def test_errors_match_dense_solve(self, sys, dt):
+        for discretize in (discretize_bilinear, _discretize_dense):
+            with pytest.raises(DiscretizationError):
+                discretize(sys, dt)
 
 
 class TestInitDtSchedule:
