@@ -6,9 +6,10 @@ small input or short taps (the liquid windows), and one summed spectrum with
 one inverse FFT for long explicit taps. ``_chunked_scan`` convolves with a
 system's own impulse response, the main order of a layer, without forming
 it: a band product inside blocks of ``BAND_TAPS`` samples and a state
-passed from block to block. The band, the FFT, the scan and the direct
-O(L^2) summation ``causal_conv_direct`` are deliberately independent
-implementations of one contract; tests hold them to 1e-10.
+passed from block to block. Their oracles, the direct summation
+``causal_conv_direct`` and the recurrence ``recurrent_s4``, take the same
+(..., L) signals and per-feature taps but share none of their arithmetic;
+tests hold the fast paths to them at 1e-10.
 """
 
 from __future__ import annotations
@@ -194,39 +195,46 @@ def _chunked_scan(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:
 
 
 def causal_conv_direct(taps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Direct-summation twin of one order of ``causal_conv`` (1-D only, O(L^2))."""
-    taps = np.asarray(taps, dtype=float)
+    """Direct-summation twin of one order of ``causal_conv``, in its shapes: (L_k,) taps against
+    u shaped (..., L), or per-feature (H, L_k) taps against (..., H, L)."""
     u = np.asarray(u, dtype=float)
-    l = u.shape[0]
-    y = np.zeros(l)
-    for d in range(min(taps.shape[0], l)):
-        y[d:] += taps[d] * u[: l - d]
+    if u.ndim == 0:
+        raise DimensionError("the signal needs a time axis")
+    taps, l = _checked_taps(taps, u), u.shape[-1]
+    y = np.zeros(u.shape)
+    for d in range(min(taps.shape[-1], l)):
+        y[..., d:] += taps[..., d, None] * u[..., : l - d]
     return y
 
 
 def _recurrence(d: DiscreteSystem, u: np.ndarray, liquid_b: np.ndarray | None) -> np.ndarray:
     """Step x_k = a_bar x_{k-1} [+ liquid_b * x_{k-1} * u_k] + b_bar u_k from x_{-1} = 0.
 
-    The bracketed term is present when ``liquid_b`` is given. Returns Re <c_bar, x_k>.
+    The bracketed term is present when ``liquid_b`` is given. Steps u shaped
+    (..., L) along its last axis with one (..., N) state, and returns Re <c_bar, x_k>
+    shaped like u; raises ``DivergedStateError`` at the first step where any row diverges.
     """
     u = np.asarray(u, dtype=float)
-    x = np.zeros(d.n, dtype=complex)
-    y = np.empty(u.shape[0])
-    for k, uk in enumerate(u):
-        ax = d.a_bar @ x
+    if u.ndim == 0:
+        raise DimensionError("the signal needs a time axis")
+    x = np.zeros(u.shape[:-1] + (d.n,), dtype=complex)
+    y = np.empty(u.shape)
+    for k in range(u.shape[-1]):
+        uk = u[..., k, None]
+        ax = x @ d.a_bar.T
         if liquid_b is not None:
             ax += liquid_b * x * uk
         x = ax + d.b_bar * uk
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _DIVERGENCE_LIMIT:
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x), initial=0.0) > _DIVERGENCE_LIMIT:
             raise DivergedStateError(k)
-        y[k] = np.vdot(d.c_bar, x).real
+        y[..., k] = (x @ d.c_bar.conj()).real
     return y
 
 
 def recurrent_s4(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:
     """Step the discrete SSM x_k = a_bar x_{k-1} + b_bar u_k, y_k = <c_bar, x_k>.
 
-    Starts from x_{-1} = 0 and returns the real part of the output sequence.
-    This is the exact reference dynamics every kernel path is checked against.
+    Starts from x_{-1} = 0 along the last axis of u shaped (..., L) and returns
+    the real part of the outputs: the exact reference dynamics every kernel path is checked against.
     """
     return _recurrence(d, u, None)

@@ -121,9 +121,7 @@ def _liquid_kernels(d: DiscreteSystem, mode: str, max_order: int, window: int) -
     )
 
 
-def liquid_oracle(
-    d: DiscreteSystem, u: np.ndarray, max_order: int, window: int
-) -> np.ndarray:
+def liquid_oracle(d: DiscreteSystem, u: np.ndarray, max_order: int, window: int) -> np.ndarray:
     """Brute-force sum of the consecutive-window term set, vanilla part included.
 
     For each output index k this adds every term
@@ -133,13 +131,9 @@ def liquid_oracle(
     recurrence. Guarded to small sizes; term count is L * window * max_order.
     """
     u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or len(u) > 64 or not 1 <= max_order <= 5:
+        raise DimensionError(f"oracle guard: need 1-D u, L <= 64, 1 <= P <= 5; got {u.shape}, P={max_order}")
     l = u.shape[0]
-    if l > 64 or max_order > 5:
-        raise DimensionError(
-            f"oracle guard: need L <= 64 and max_order <= 5, got L={l}, P={max_order}"
-        )
-    if max_order < 1:
-        raise DimensionError("max_order must be at least 1")
     powers = [np.eye(d.n, dtype=complex)]
     for _ in range(l - 1):
         powers.append(d.a_bar @ powers[-1])
@@ -157,9 +151,7 @@ def liquid_oracle(
     return y
 
 
-def liquid_oracle_pb_reference(
-    d: DiscreteSystem, u: np.ndarray, max_order: int, window: int
-) -> np.ndarray:
+def liquid_oracle_pb_reference(d: DiscreteSystem, u: np.ndarray, max_order: int, window: int) -> np.ndarray:
     """``liquid_oracle`` for the PB mode: the liquid part runs on the identity transition."""
     ident = replace(d, a_bar=np.eye(d.n))
     vanilla = liquid_oracle(d, u, 1, window)
@@ -171,8 +163,9 @@ def recurrent_liquid(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:
 
     x_k = a_bar x_{k-1} + b_bar * x_{k-1} * u_k + b_bar u_k,  y_k = <c_bar, x_k>
 
-    with x_{-1} = 0. The input-dependent term is the Hadamard product of
-    b_bar with the previous state, scaled by the current sample.
+    with x_{-1} = 0, stepped along the last axis of u shaped (..., L). The
+    input-dependent term is the Hadamard product of b_bar with the previous
+    state, scaled by the current sample.
     """
     return _recurrence(d, u, d.b_bar)
 
@@ -187,9 +180,9 @@ def liquid_expansion_oracle(d: DiscreteSystem, u: np.ndarray) -> np.ndarray:
     unrolled dynamics, consecutive or not.
     """
     u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or len(u) > 12:
+        raise DimensionError(f"expansion oracle guard: need a 1-D u of L <= 12, got {u.shape}")
     l = u.shape[0]
-    if l > 12:
-        raise DimensionError(f"expansion oracle guard: need L <= 12, got {l}")
     y = np.zeros(l)
     for k in range(l):
         xk = np.zeros(d.n, dtype=complex)

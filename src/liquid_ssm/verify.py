@@ -185,8 +185,7 @@ def run_suite(seed: int = 0, poison: bool = False) -> list[CheckResult]:
 
     # a (3, 200) batch: the scanned main order over four blocks of 64, the last one partial
     u = rng.normal(0.0, 1.0, (3, 200))
-    got = forward_liquid_s4(sys, 0.05, u, mode="none")
-    res = max(_rel_linf(y, recurrent_s4(d, x)) for y, x in zip(got, u))
+    res = max(map(_rel_linf, forward_liquid_s4(sys, 0.05, u, mode="none"), recurrent_s4(d, u)))
     results.append(_result("forward_scan_matches_recurrent", res, 1e-8))
 
     # last, so no other check's draws move: the structured step against one dense LU solve

@@ -11,7 +11,8 @@ from liquid_ssm.conv import (
     recurrent_s4,
 )
 from liquid_ssm.errors import DimensionError, DivergedStateError
-from liquid_ssm.kernel import kernel_naive
+from liquid_ssm.kernel import _rel_linf, kernel_naive
+from liquid_ssm.liquid import recurrent_liquid
 from liquid_ssm.ssm import discretize_bilinear, nplr_decompose
 
 from helpers import count_fft, scalar_discrete
@@ -83,9 +84,7 @@ class TestCausalConv:
                 u = rng.normal(0.0, 1.0, (5, 3, l))
                 batched, fft = conv(k, u)
                 assert fft == takes_fft(l, lk)
-                for i in range(5):
-                    for j in range(3):
-                        assert batched[i, j] == pytest.approx(causal_conv_direct(k, u[i, j]))
+                assert batched == pytest.approx(causal_conv_direct(k, u))
 
     def test_causality_perturbation(self, conv):
         rng = np.random.default_rng(2)
@@ -153,6 +152,56 @@ class TestRecurrentS4:
         with pytest.raises(DivergedStateError) as exc:
             recurrent_s4(d, np.ones(400))
         assert 0 < exc.value.step < 400
+
+
+class TestOracleShapes:
+    """The oracles take the fast paths' shapes: signals (..., L), and per-feature (H, L_k) taps."""
+
+    # (3, 4) at N = 4: a time axis as long as the state, which once read as one (4,) row per step
+    @pytest.mark.parametrize("shape", [(2, 3, 40), (3, 4)])
+    @pytest.mark.parametrize("recurrence", [recurrent_s4, recurrent_liquid])
+    def test_batched_recurrence_rows_match_1d_calls(self, recurrence, shape):
+        d = discretize_bilinear(nplr_decompose(4, seed=2), 0.1)
+        u = np.random.default_rng(5).normal(0.0, 0.5, shape)
+        got = recurrence(d, u)
+        assert got.shape == u.shape
+        for idx in np.ndindex(u.shape[:-1]):
+            assert _rel_linf(got[idx], recurrence(d, u[idx])) <= 1e-14
+
+    @pytest.mark.parametrize("taps_shape", [(7,), (3, 7), (3, 100)])
+    def test_batched_direct_sum_rows_equal_1d_calls(self, taps_shape):
+        rng = np.random.default_rng(6)
+        taps = rng.normal(0.0, 1.0, taps_shape)
+        u = rng.normal(0.0, 1.0, (2, 3, 80))
+        got = causal_conv_direct(taps, u)
+        assert got.shape == u.shape
+        for b, h in np.ndindex(2, 3):
+            assert np.array_equal(got[b, h], causal_conv_direct(taps[h] if taps.ndim == 2 else taps, u[b, h]))
+
+    def test_batched_divergence_reports_first_step_of_any_row(self):
+        d = scalar_discrete(4.0, 1.0, 1.0)
+        u = np.ones((3, 400)) * np.array([[1e-30], [1.0], [1e-10]])
+        steps = []
+        for row in u:
+            with pytest.raises(DivergedStateError) as exc:
+                recurrent_s4(d, row)
+            steps.append(exc.value.step)
+        with pytest.raises(DivergedStateError) as exc:
+            recurrent_s4(d, u)
+        assert exc.value.step == min(steps) < max(steps)
+
+    @pytest.mark.parametrize(
+        "oracle", [recurrent_s4, recurrent_liquid, lambda d, u: causal_conv_direct(np.ones(3), u)]
+    )
+    def test_signal_without_time_axis_rejected(self, oracle):
+        with pytest.raises(DimensionError):
+            oracle(scalar_discrete(0.5, 1.0, 1.0), np.array(1.0))
+
+    def test_per_feature_direct_sum_needs_a_feature_axis(self):
+        taps = np.arange(1.0, 6.0)[None]
+        with pytest.raises(DimensionError):
+            causal_conv_direct(taps, np.ones(5))
+        assert np.array_equal(causal_conv_direct(taps, np.ones((1, 5))), [[1.0, 3.0, 6.0, 10.0, 15.0]])
 
 
 class TestSequenceBatch:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liquid_ssm import pipeline
-from liquid_ssm.conv import BAND_TAPS, _chunked_scan, causal_conv, causal_conv_direct
+from liquid_ssm.conv import BAND_TAPS, _chunked_scan, causal_conv, causal_conv_direct, recurrent_s4
 from liquid_ssm.errors import DimensionError
 from liquid_ssm.liquid import _kb_taps_discrete, _pb_taps_discrete, correlation_signals
 from liquid_ssm.pipeline import feature_systems, forward_liquid_s4
@@ -42,8 +42,7 @@ def test_causal_conv_shared_taps_matches_direct(l, lk, batch, seed):
     u = rng.normal(0.0, 1.0, (batch, l))
     got = causal_conv(taps, u)
     assert got.shape == u.shape
-    for b in range(batch):
-        assert np.max(np.abs(got[b] - causal_conv_direct(taps, u[b]))) < 1e-10
+    assert np.max(np.abs(got - causal_conv_direct(taps, u))) < 1e-10
 
 
 @PROPERTY
@@ -60,9 +59,7 @@ def test_per_feature_taps_match_direct(l, lk, h, batch, seed):
     u = rng.normal(0.0, 1.0, (batch, h, l))
     got = causal_conv(taps, u)
     assert got.shape == u.shape
-    for b in range(batch):
-        for i in range(h):
-            assert np.max(np.abs(got[b, i] - causal_conv_direct(taps[i], u[b, i]))) < 1e-10
+    assert np.max(np.abs(got - causal_conv_direct(taps, u))) < 1e-10
 
 
 @PROPERTY
@@ -88,11 +85,8 @@ def test_blocked_band_matches_direct(l, lks, main_at, per_feature, h, batch, see
         got = causal_conv(taps, correlation_signals(u, len(taps)))
     assert len(fft_calls) == (main_at is not None)
     assert got.shape == u.shape
-    for b in range(batch):
-        for i in range(h):
-            signals = correlation_signals(u[b, i], len(taps))
-            want = sum(causal_conv_direct(t[i] if per_feature else t, x) for t, x in zip(taps, signals))
-            assert np.max(np.abs(got[b, i] - want)) < 1e-10
+    want = sum(map(causal_conv_direct, taps, correlation_signals(u, len(taps))))
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 @PROPERTY
@@ -115,7 +109,7 @@ def test_each_signal_let_go_once_its_order_is_summed(l, lks, per_feature, rows, 
             assert all(ref() is None for ref in drawn[: max(k - 1, 0)])
             x = rng.normal(0.0, 1.0, (rows, l))
             drawn.append(weakref.ref(x))
-            want[:] += [causal_conv_direct(t[i] if per_feature else t, x[i]) for i in range(rows)]
+            want[:] += causal_conv_direct(t, x)
             yield x
 
     got = causal_conv(taps, fresh_signals())
@@ -131,9 +125,7 @@ def check_branch(monkeypatch, l, rows, lk, uses_band):
     u = rng.normal(0.0, 1.0, rows + (l,))
     got = causal_conv(taps, u)
     assert (not fft_calls) == uses_band
-    for idx in np.ndindex(rows):
-        want = causal_conv_direct(taps[idx[1:]], u[idx])
-        assert np.max(np.abs(got[idx] - want)) < 1e-10
+    assert np.max(np.abs(got - causal_conv_direct(taps, u))) < 1e-10
     if len(rows) == 2:
         # one channel of the same per-feature pass takes the same branch
         fft_calls.clear()
@@ -235,11 +227,8 @@ def test_order_sum_matches_direct(l, orders, per_feature, h, batch, seed):
     u = rng.normal(0.0, 1.0, (batch, h, l))
     got = causal_conv(taps, correlation_signals(u, orders))
     assert got.shape == u.shape
-    for b in range(batch):
-        for i in range(h):
-            signals = correlation_signals(u[b, i], orders)
-            want = sum(causal_conv_direct(t[i] if per_feature else t, x) for t, x in zip(taps, signals))
-            assert np.max(np.abs(got[b, i] - want)) < 1e-10
+    want = sum(map(causal_conv_direct, taps, correlation_signals(u, orders)))
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -277,10 +266,29 @@ def test_chunked_scan_matches_direct_sum(l, batch, n, dt, seed):
     d = discretize_bilinear(sys_, dt)
     u = np.random.default_rng(seed).normal(0.0, 1.0, (l,) if batch is None else (batch, l))
     taps = kernel_naive(d, l).taps
-    want = np.reshape([causal_conv_direct(taps, row) for row in u.reshape(-1, l)], u.shape)
+    want = causal_conv_direct(taps, u)
     for got in (_chunked_scan(d, u), forward_liquid_s4(sys_, dt, u, "none")):
         assert got.shape == u.shape
         assert _rel_linf(got, want) < 1e-10
+
+
+@PROPERTY
+@given(
+    l=st.one_of(st.sampled_from([4160, 4161, 4225]), st.integers(4097, 8320)),
+    batch=st.integers(1, 3),
+    n=st.integers(1, BAND_TAPS // 2),
+    dt=st.floats(1e-3, 0.2),
+    seed=st.integers(0, 2**16),
+)
+def test_scan_carries_over_several_products_match_recurrence(l, batch, n, dt, seed):
+    # more than 64 blocks per sequence (65 at batch 1) take the block carries through two or more
+    # products; the scan and the scanned forward against one batched recurrence, row by row
+    sys_ = nplr_decompose(n, seed=seed)
+    d = discretize_bilinear(sys_, dt)
+    u = np.random.default_rng(seed).normal(0.0, 1.0, (batch, l))
+    want = recurrent_s4(d, u)
+    for got in (_chunked_scan(d, u), forward_liquid_s4(sys_, dt, u, "none")):
+        assert max(map(_rel_linf, got, want)) < 1e-10
 
 
 @PROPERTY
@@ -304,9 +312,7 @@ def test_liquid_forward_matches_direct_sum(l, window, batch, n, mode, order, dt,
     u = np.random.default_rng(seed).normal(0.0, 1.0, (l,) if batch is None else (batch, l))
     liquid_taps = _kb_taps_discrete if mode == "kb" else _pb_taps_discrete
     taps = [kernel_naive(d, l).taps] + [liquid_taps(d, p, window).real for p in range(2, order + 1)]
-    want = np.reshape(
-        [sum(map(causal_conv_direct, taps, correlation_signals(row, order))) for row in u.reshape(-1, l)], u.shape
-    )
+    want = sum(map(causal_conv_direct, taps, correlation_signals(u, order)))
     got = forward_liquid_s4(sys_, dt, u, mode, order, window)
     assert got.shape == u.shape
     assert _rel_linf(got, want) < 1e-10

@@ -12,6 +12,7 @@ from liquid_ssm.liquid import (
     default_window,
     liquid_expansion_oracle,
     liquid_oracle,
+    liquid_oracle_pb_reference,
     recurrent_liquid,
 )
 from liquid_ssm.pipeline import forward_liquid_s4
@@ -213,6 +214,21 @@ class TestLiquidOracle:
             liquid_oracle(d, np.zeros(65), 2, 4)
         with pytest.raises(DimensionError):
             liquid_oracle(d, np.zeros(16), 6, 4)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 5), (2, 1), (1, 5)])
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda d, u: liquid_oracle(d, u, 2, 4),
+        lambda d, u: liquid_oracle_pb_reference(d, u, 2, 4),
+        liquid_expansion_oracle,
+    ],
+    ids=["liquid_oracle", "liquid_oracle_pb_reference", "liquid_expansion_oracle"],
+)
+def test_brute_force_oracles_take_one_1d_sequence(oracle, shape):
+    with pytest.raises(DimensionError):
+        oracle(scalar_discrete(0.5, 1.0, 1.0), np.ones(shape))
 
 
 class TestRecurrentLiquid:

@@ -29,8 +29,9 @@ from helpers import PROPERTY, probe_gradient_reference
 
 
 def window_products(u, p):
-    """u[k] u[k-1] ... u[k-p+1], zero for k < p-1."""
-    return np.concatenate([np.zeros(p - 1), np.prod([u[j : len(u) - p + 1 + j] for j in range(p)], axis=0)])
+    """u[k] u[k-1] ... u[k-p+1] along the last axis, zero for k < p-1."""
+    prods = np.prod([u[..., j : u.shape[-1] - p + 1 + j] for j in range(p)], axis=0)
+    return np.concatenate([np.zeros(u.shape[:-1] + (p - 1,)), prods], axis=-1)
 
 
 def layer_parts(model, li, x):
@@ -118,9 +119,8 @@ class TestForward:
             d = discretize_bilinear(sysh, float(dts[h]))
             taps = np.array([np.vdot(d.c_bar, np.linalg.matrix_power(d.a_bar, i) @ d.b_bar).real for i in range(16)])
             scale = np.linalg.norm(taps)
-            for bi in range(5):
-                want = (u[bi] + gelu(recurrent_s4(d, u[bi]) / scale)).mean()
-                assert logits[bi, h] == pytest.approx(want, rel=1e-8)
+            want = (u + gelu(recurrent_s4(d, u) / scale)).mean(axis=1)
+            assert logits[:, h] == pytest.approx(want, rel=1e-8)
 
     def test_zero_input_zero_bias_gives_zero_logits(self):
         model = SequenceClassifier(small_stack("pb"), seq_length=32, seed=0)
@@ -178,13 +178,12 @@ class TestForward:
                 taps = {1: kernel_naive(d, length).taps}
                 taps.update({p: oracle(d, p, 6).real for p in (2, 3)})
                 taps = {p: t / np.linalg.norm(t) for p, t in taps.items()}
-                for b in range(2):
-                    v = x[b, h]
-                    want_main = causal_conv_direct(taps[1], v)
-                    want_liquid = sum(causal_conv_direct(taps[p], window_products(v, p)) for p in (2, 3))
-                    assert np.max(np.abs(main[b, h] - want_main)) < 1e-12
-                    assert np.max(np.abs(liquid[b, h] - want_liquid)) < 1e-12
-                    pre[b, h] = want_main + want_liquid
+                v = x[:, h]
+                want_main = causal_conv_direct(taps[1], v)
+                want_liquid = sum(causal_conv_direct(taps[p], window_products(v, p)) for p in (2, 3))
+                assert np.max(np.abs(main[:, h] - want_main)) < 1e-12
+                assert np.max(np.abs(liquid[:, h] - want_liquid)) < 1e-12
+                pre[:, h] = want_main + want_liquid
             x = x + gelu(pre)
         logits = x.mean(axis=2) @ model.params["readout_w"] + model.params["readout_b"]
         assert np.max(np.abs(model.forward(u) - logits)) < 1e-12
