@@ -22,6 +22,7 @@ from .model import (
     train_demo,
 )
 from .pipeline import feature_systems, forward_liquid_s4
+from .seqio import read_sequences, write_sequences
 from .ssm import (
     DiscreteSystem,
     DplrSystem,
@@ -62,10 +63,12 @@ __all__ = [
     "liquid_expansion_oracle",
     "liquid_oracle",
     "nplr_decompose",
+    "read_sequences",
     "recurrent_liquid",
     "recurrent_s4",
     "run_suite",
     "train_demo",
+    "write_sequences",
 ]
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from . import errors, seqio
 from .kernel import _best_of, _genfn_kernel, _rel_linf, bench_kernel, kernel_naive
 from .liquid import MAX_ORDER, _liquid_kernels, build_liquid_kernels, default_window
 from .model import TASK_NAMES, LayerConfig, ModelStack, SequenceClassifier, SyntheticTask, train_demo
-from .pipeline import MODES, feature_systems, forward_liquid_s4
+from .pipeline import MODES, Layer, feature_systems, group_rows
 from .ssm import (
     DEFAULT_DT_MAX,
     DplrSystem,
@@ -221,21 +221,35 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
 
 
 def cmd_convolve(cfg: RunConfig, args) -> int:
+    """Stream the input through one ``Layer`` per feature, a row group at a time.
+
+    Errors come in this order: a missing ``--out`` (exit 2); the input's
+    structure -- an LSQ4 header and size, or the whole of a CSV file (exit
+    3); an output format that cannot hold the features, and the flags and
+    config, whose length and feature count come from the input (exit 2);
+    then, group by group, a non-finite LSQ4 value (exit 3). ``--out`` is
+    replaced only once every row is written; a failed run leaves it as it was.
+    """
     if not args.out:
         raise errors.ConfigError("convolve requires --out PATH for the sequence output")
-    values = seqio.read_sequences(args.input)
-    _, length, h = values.shape
-    try:
-        seqio.check_writable(args.out, h)
-    except errors.DimensionError as exc:
-        raise errors.ConfigError(f"--out {args.out}: {exc}") from exc
-    cfg = replace(cfg, length=length, features=h)
-    cfg.validate()
-    window = cfg.resolved_window()
-    out = np.empty_like(values)
-    for i, (sys_, dt) in enumerate(_systems(cfg, h, length)):
-        out[:, :, i] = forward_liquid_s4(sys_, dt, values[:, :, i], cfg.mode, cfg.order, window)
-    seqio.write_sequences(args.out, out)
+    with seqio.SequenceReader(args.input) as source:
+        batch, length, h = source.shape
+        try:
+            seqio.check_writable(args.out, h)
+        except errors.DimensionError as exc:
+            raise errors.ConfigError(f"--out {args.out}: {exc}") from exc
+        cfg = replace(cfg, length=length, features=h)
+        cfg.validate()
+        window = cfg.resolved_window()
+        layers = [Layer(sys_, dt, length, cfg.mode, cfg.order, window) for sys_, dt in _systems(cfg, h, length)]
+        rows = group_rows(length)
+        out = np.empty((min(rows, batch), length, h))
+        with seqio.SequenceWriter(args.out, source.shape) as sink:
+            for group in source.groups(rows):
+                y = out[: len(group)]
+                for i, layer in enumerate(layers):
+                    y[:, :, i] = layer(group[:, :, i])
+                sink.write(y)
     return 0
 
 

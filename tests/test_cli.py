@@ -2,18 +2,22 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from liquid_ssm import cli, errors, seqio
+from liquid_ssm import cli, errors, pipeline, seqio
 from liquid_ssm.cli import main
 from liquid_ssm.conv import recurrent_s4
+from liquid_ssm.kernel import _rel_linf
 from liquid_ssm.liquid import default_window
 from liquid_ssm.model import TASK_NAMES
-from liquid_ssm.pipeline import MODES, feature_systems, forward_liquid_s4
+from liquid_ssm.pipeline import MODES, feature_systems, forward_liquid_s4, group_rows
 from liquid_ssm.ssm import discretize_bilinear, init_dt_schedule
+
+from helpers import PROPERTY
 
 
 def run(argv):
@@ -236,6 +240,70 @@ class TestConvolveCommand:
         assert run(["convolve", str(src), "--out", str(out)]) == 2
         assert "2 features" in capsys.readouterr().err
         assert not out.exists()
+
+    @settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        l=st.sampled_from([8, 64, 65, 200]),
+        group=st.integers(1, 3),
+        suffix=st.sampled_from([".lsq4", ".csv"]),
+        h=st.integers(1, 2),
+        mode=st.sampled_from(MODES),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_groups_across_edges_match_the_forward(self, tmp_path, l, group, suffix, h, mode, seed, data):
+        # a file of 0 .. 3G + 1 rows in G-row groups (the byte budget set to G rows of L samples) gives,
+        # feature by feature, what one forward over all rows gives
+        batch = data.draw(st.one_of(st.sampled_from([group - 1, group, group + 1]), st.integers(0, 3 * group + 1)))
+        h = 1 if suffix == ".csv" else h
+        values = np.random.default_rng(seed).normal(0.0, 1.0, (batch, l, h))
+        src, out = tmp_path / f"u{suffix}", tmp_path / f"y{suffix}"
+        seqio.write_sequences(str(src), values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "GROUP_BYTES", 8 * l * group)
+            code = run(["convolve", str(src), "--mode", mode, "--order", "3", "--out", str(out)])
+        if len(values) == 0 and suffix == ".csv":  # a CSV file without rows is a parse failure
+            assert code == 3
+            return
+        assert code == 0
+        got = seqio.read_sequences(str(out))
+        assert got.shape == values.shape
+        for i, (sys_, dt) in enumerate(cli._systems(cli.RunConfig(), h, l)):
+            want = forward_liquid_s4(sys_, dt, values[:, :, i], mode, 3, default_window(l))
+            if want.size:
+                assert _rel_linf(got[:, :, i], want) < 1e-12
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_non_finite_in_the_last_group_exits_3_and_leaves_out_as_it_was(self, tmp_path, capsys, existing):
+        # three groups; the first two are convolved before the third reports its NaN
+        l, h = 2048, 2
+        values = np.random.default_rng(4).normal(0.0, 1.0, (2 * group_rows(l) + 1, l, h))
+        values[-1, 100, 1] = np.nan
+        src, out = tmp_path / "u.lsq4", tmp_path / "y.lsq4"
+        seqio.write_sequences(str(src), values)
+        with pytest.raises(errors.SequenceParseError) as whole:
+            seqio.read_sequences(str(src))
+        assert whole.value.offset == 24 + 8 * (((len(values) - 1) * l + 100) * h + 1)
+        if existing:
+            out.write_bytes(b"an earlier result")
+        assert run(["convolve", str(src), "--mode", "kb", "--out", str(out)]) == 3
+        assert f"byte offset {whole.value.offset})" in capsys.readouterr().err
+        assert (out.read_bytes() == b"an earlier result") if existing else not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["u.lsq4"] + ["y.lsq4"] * existing)
+
+    def test_memory_is_bounded_by_the_group_not_the_batch(self, tmp_path):
+        # a 16x larger batch adds no more than a quarter to the traced peak of an in-process run
+        peaks = []
+        for batch in (16, 256):
+            src = tmp_path / f"u{batch}.lsq4"
+            seqio.write_sequences(str(src), np.random.default_rng(batch).normal(0.0, 1.0, (batch, 2048, 4)))
+            tracemalloc.start()
+            try:
+                assert run(["convolve", str(src), "--mode", "kb", "--order", "3", "--out", str(tmp_path / "y.lsq4")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestVerifyCommand:
@@ -545,6 +613,7 @@ def test_tiny_run_reports_or_exits_with_one_error_line(tmp_path, command, flags,
         values = np.random.default_rng(0).normal(0.0, 1.0, shape[:2] + ((1,) if extra == ".csv" else shape[2:]))
         src, out = tmp_path / f"u{extra}", tmp_path / f"y{extra}"
         seqio.write_sequences(str(src), values)
+        out.unlink(missing_ok=True)  # left by an earlier example in the same directory
         argv += [str(src), "--out", str(out)]
     elif extra:
         argv.append(extra)
@@ -560,6 +629,7 @@ def test_tiny_run_reports_or_exits_with_one_error_line(tmp_path, command, flags,
         # an empty CSV file is a parse failure, exit 3; every other refusal is exit 2
         assert code == (3 if extra == ".csv" and values.size == 0 else 2), err
         assert len(err) == 1 and err[0].startswith("error:"), err
+        assert values is None or not out.exists()  # a failed convolve writes no output
         return
     assert err == []
     if values is not None:

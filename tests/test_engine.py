@@ -3,8 +3,9 @@
 Each batched primitive is held to its row-by-row form: ``causal_conv`` to
 the direct summation (its order-summed form to a sum of direct summations),
 ``correlation_signals`` and ``forward_liquid_s4`` to stacks of 1-D calls,
-and the chunked scan of the main order, and the whole kb/pb forward with
-liquid windows on both sides of BAND_TAPS, to direct sums of the oracle taps.
+and the block scan of the main order, the whole kb/pb forward with liquid
+windows on both sides of BAND_TAPS, and the layer run over row groups of
+every size around a group edge, to direct sums of the oracle taps.
 Sequence lengths straddle the L = 64 switch between one (L, L) band and the
 per-order rule, and tap lengths the BAND_TAPS cut between the blocked band
 and the FFT, so every branch is drawn for shared and per-feature taps; a
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liquid_ssm import pipeline
-from liquid_ssm.conv import BAND_TAPS, _chunked_scan, causal_conv, causal_conv_direct, recurrent_s4
+from liquid_ssm.conv import BAND_TAPS, _BlockScan, causal_conv, causal_conv_direct, recurrent_s4
 from liquid_ssm.errors import DimensionError
 from liquid_ssm.liquid import _kb_taps_discrete, _pb_taps_discrete, correlation_signals
 from liquid_ssm.pipeline import feature_systems, forward_liquid_s4
@@ -32,6 +33,11 @@ from helpers import PROPERTY, count_fft
 
 lengths = st.one_of(st.integers(1, 64), st.integers(65, 400))
 seeds = st.integers(0, 2**32 - 1)
+
+
+def chunked_scan(d, u):
+    """The block scan of ``d`` over the rows of u shaped (..., L), in u's shape."""
+    return _BlockScan(d, u.shape[-1])(u.reshape(-1, u.shape[-1])).reshape(u.shape)
 
 
 @PROPERTY
@@ -244,7 +250,7 @@ def test_kb_forward_transforms_only_above_the_scan_rule(monkeypatch, n, window, 
     u = np.random.default_rng(0).normal(0.0, 1.0, (2, 2048))
     forward, inverse = count_fft(monkeypatch, "rfft"), count_fft(monkeypatch, "irfft")
     scanned = []
-    monkeypatch.setattr(pipeline, "_chunked_scan", lambda *a: scanned.append(1) or _chunked_scan(*a))
+    monkeypatch.setattr(pipeline, "_BlockScan", lambda *a: scanned.append(1) or _BlockScan(*a))
     forward_liquid_s4(sys_, 0.01, u, "kb", 3, window)
     assert (len(forward), len(inverse)) == ffts
     assert len(scanned) == (2 * n <= BAND_TAPS)  # the state alone decides; the window does not
@@ -267,27 +273,28 @@ def test_chunked_scan_matches_direct_sum(l, batch, n, dt, seed):
     u = np.random.default_rng(seed).normal(0.0, 1.0, (l,) if batch is None else (batch, l))
     taps = kernel_naive(d, l).taps
     want = causal_conv_direct(taps, u)
-    for got in (_chunked_scan(d, u), forward_liquid_s4(sys_, dt, u, "none")):
+    for got in (chunked_scan(d, u), forward_liquid_s4(sys_, dt, u, "none")):
         assert got.shape == u.shape
         assert _rel_linf(got, want) < 1e-10
 
 
 @PROPERTY
 @given(
-    l=st.one_of(st.sampled_from([4160, 4161, 4225]), st.integers(4097, 8320)),
+    l=st.one_of(st.sampled_from([8257, 8320, 8321, 16384]), st.integers(8257, 16384)),
     batch=st.integers(1, 3),
     n=st.integers(1, BAND_TAPS // 2),
-    dt=st.floats(1e-3, 0.2),
+    dt=st.floats(1e-6, 1.0),
     seed=st.integers(0, 2**16),
 )
 def test_scan_carries_over_several_products_match_recurrence(l, batch, n, dt, seed):
-    # more than 64 blocks per sequence (65 at batch 1) take the block carries through two or more
-    # products; the scan and the scanned forward against one batched recurrence, row by row
+    # above 129 blocks per sequence the block states take 8 or more doubling steps, each carried
+    # by a squared power of the block step; the scan and the scanned forward against one batched
+    # recurrence, row by row, from tiny steps to dt = 1
     sys_ = nplr_decompose(n, seed=seed)
     d = discretize_bilinear(sys_, dt)
     u = np.random.default_rng(seed).normal(0.0, 1.0, (batch, l))
     want = recurrent_s4(d, u)
-    for got in (_chunked_scan(d, u), forward_liquid_s4(sys_, dt, u, "none")):
+    for got in (chunked_scan(d, u), forward_liquid_s4(sys_, dt, u, "none")):
         assert max(map(_rel_linf, got, want)) < 1e-10
 
 
@@ -316,6 +323,43 @@ def test_liquid_forward_matches_direct_sum(l, window, batch, n, mode, order, dt,
     got = forward_liquid_s4(sys_, dt, u, mode, order, window)
     assert got.shape == u.shape
     assert _rel_linf(got, want) < 1e-10
+
+
+@PROPERTY
+@given(
+    l=st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129, 640]), st.integers(3, 700)),
+    group=st.integers(1, 4),
+    form=st.sampled_from(["(L,)", "(B, L)", "(3, B, L)"]),
+    n=st.one_of(st.integers(1, 8), st.sampled_from([BAND_TAPS // 2, BAND_TAPS // 2 + 1])),
+    window=st.sampled_from([8, BAND_TAPS, BAND_TAPS + 1]),
+    mode=st.sampled_from(["kb", "pb", "none"]),
+    dt=st.floats(1e-3, 0.2),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_grouped_layer_matches_oracles_across_group_edges(l, group, form, n, window, mode, dt, seed, data):
+    # a Layer of G-row groups (the byte budget set to G rows of L samples) over batches of 0 .. 3G + 1
+    # rows, G - 1, G and G + 1 among them, in every input form; the whole layer against the direct
+    # sums of the oracle taps, or, without liquid orders, against the recurrence
+    batch = data.draw(st.one_of(st.sampled_from([group - 1, group, group + 1]), st.integers(0, 3 * group + 1)))
+    shape = {"(L,)": (l,), "(B, L)": (batch, l), "(3, B, L)": (3, batch, l)}[form]
+    window = min(window, l)
+    sys_ = nplr_decompose(n, seed=seed)
+    d = discretize_bilinear(sys_, dt)
+    u = np.random.default_rng(seed).normal(0.0, 1.0, shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "GROUP_BYTES", 8 * l * group)
+        assert pipeline.Layer(sys_, dt, l, mode, 3, window).rows == group
+        got = forward_liquid_s4(sys_, dt, u, mode, 3, window)
+    assert got.shape == u.shape
+    if mode == "none":
+        want = recurrent_s4(d, u)
+    else:
+        liquid_taps = _kb_taps_discrete if mode == "kb" else _pb_taps_discrete
+        taps = [kernel_naive(d, l).taps] + [liquid_taps(d, p, window).real for p in (2, 3)]
+        want = sum(map(causal_conv_direct, taps, correlation_signals(u, 3)))
+    if u.size:
+        assert _rel_linf(got, want) < 1e-10
 
 
 @PROPERTY
